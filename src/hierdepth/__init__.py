@@ -21,10 +21,11 @@ from .errors import (
     NotEnoughPoints,
     NotPrime,
     OverlappingSupport,
+    Sentinel,
     ShapeMismatch,
     VacuousTransform,
 )
-from .gf import Field, FieldElement, FMatrix, field_new, kernel_basis, rank, rref
+from .gf import Field, FMatrix, kernel_basis, rank, rref
 from .picard import (
     NO_DECOMPOSITION,
     DivisorClass,
@@ -59,7 +60,9 @@ from .hecke import (
     build_curve_filtration,
     commute_check,
     enumerate_points,
+    first_usable_covector,
     full_sections,
+    point_at,
     probe_overlap,
 )
 from .agcode import (
@@ -77,6 +80,7 @@ from .agcode import (
     permute_points,
     vanishing_basis,
     zero_block_contract,
+    zero_blocks,
 )
 
 __version__ = "0.1.0"

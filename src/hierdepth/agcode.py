@@ -29,29 +29,14 @@ from .errors import (
     DuplicatePoint,
     EmptyCode,
     EmptyMessageSpace,
+    INFEASIBLE,
 )
 from .gf import Field, FMatrix
 
 DEFAULT_BUDGET = 10**7
 
-_SPACES = {"P1": 2, "P2": 3}
-
-
-class _Infeasible:
-    """Sentinel: enumeration would exceed the codeword budget."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infeasible"
-
-
-INFEASIBLE = _Infeasible()
+# Homogeneous coordinates of a point, per space.
+SPACES = {"P1": 2, "P2": 3}
 
 
 def monomial_exponents(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -82,7 +67,7 @@ def normalize_point(coords, p: int) -> tuple[int, ...]:
 
 def all_rational_points(space: str, p: int) -> list[tuple[int, ...]]:
     """Every rational point of the space, normalized, in a fixed order."""
-    if space not in _SPACES:
+    if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     Field(p)
     if space == "P1":
@@ -121,7 +106,7 @@ class SectionBasis:
 
     @property
     def monomials(self) -> tuple[tuple[int, ...], ...]:
-        return monomial_exponents(self.degree, _SPACES[self.space])
+        return monomial_exponents(self.degree, SPACES[self.space])
 
 
 def _derivative_multi_indices(nvars_affine: int, order: int):
@@ -139,7 +124,7 @@ def _condition_rows(degree, space, cond: VanishingCondition, p):
     small characteristic the binomial factors implement divided powers,
     so order-o vanishing is characterized correctly even when o exceeds p.
     """
-    nvars = _SPACES[space]
+    nvars = SPACES[space]
     pt = normalize_point(cond.point, p)
     chart = next(i for i, c in enumerate(pt) if c)
     affine_vars = [v for v in range(nvars) if v != chart]
@@ -168,10 +153,10 @@ def vanishing_basis(degree: int, conditions, space: str,
     The dimension is the count of degree-d monomials minus the number of
     independent condition functionals.
     """
-    if space not in _SPACES:
+    if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     Field(p)
-    monos = monomial_exponents(degree, _SPACES[space])
+    monos = monomial_exponents(degree, SPACES[space])
     rows = []
     for cond in conditions:
         rows.extend(_condition_rows(degree, space, cond, p))
@@ -330,6 +315,16 @@ class ContractionReport:
     empty_code: bool
 
 
+def zero_blocks(code: LinearCode) -> tuple[int, ...]:
+    """Indices of the point blocks on which every codeword vanishes."""
+    r = code.r
+    arr = code.generator.array
+    return tuple(
+        j for j in range(code.num_points)
+        if not arr[:, j * r:(j + 1) * r].any()
+    )
+
+
 def zero_block_contract(code: LinearCode):
     """Drop every point block on which all codewords vanish.
 
@@ -342,10 +337,7 @@ def zero_block_contract(code: LinearCode):
     """
     r = code.r
     arr = code.generator.array
-    zero = tuple(
-        j for j in range(code.num_points)
-        if not arr[:, j * r:(j + 1) * r].any()
-    )
+    zero = zero_blocks(code)
     keep = [j for j in range(code.num_points) if j not in set(zero)]
     cols = [j * r + i for j in keep for i in range(r)]
     contracted = LinearCode(

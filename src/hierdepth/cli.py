@@ -22,18 +22,17 @@ from fractions import Fraction
 
 from . import agcode, depth, hecke
 from .bundle import SplitBundle, parse_bundle
-from .errors import HierdepthError
+from .errors import INFEASIBLE, HierdepthError
 from .picard import Lattice, parse_class
 from .agcode import (
     DEFAULT_BUDGET,
-    INFEASIBLE,
+    SPACES,
     VanishingCondition,
     all_rational_points,
     build_code,
-    min_distance,
     mmp_compare,
     vanishing_basis,
-    zero_block_contract,
+    zero_blocks,
 )
 
 DEFAULT_SEED = 0
@@ -73,13 +72,18 @@ def _int_list(text: str, field_name: str) -> list[int]:
         raise CliInputError(field_name, f"expected comma-separated integers, got {text!r}")
 
 
-def _point(text: str, field_name: str) -> tuple[int, ...]:
+def _point(text: str, field_name: str, space: str, p: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(t) for t in text.strip().split(":"))
     except ValueError:
         raise CliInputError(field_name, f"expected colon-separated integers, got {text!r}")
-    if len(coords) not in (2, 3):
-        raise CliInputError(field_name, f"points need 2 or 3 coordinates, got {text!r}")
+    if len(coords) != SPACES[space]:
+        raise CliInputError(
+            field_name, f"{space} points need {SPACES[space]} coordinates, got {text!r}"
+        )
+    # p < 2 leaves nothing to reduce by; building the code refuses it as NotPrime
+    if p > 1 and not any(c % p for c in coords):
+        raise CliInputError(field_name, f"all coordinates are zero mod {p} in {text!r}")
     return coords
 
 
@@ -152,6 +156,8 @@ def _cmd_mmp_depth(opts, seed):
         hmin = int(opts["hmin"])
     except (TypeError, ValueError):
         raise CliInputError("hmin", "expected an integer")
+    if hmin < 0:
+        raise CliInputError("hmin", f"must be nonnegative, got {hmin}")
     alpha = _int_list(opts["alpha"] or "", "alpha")
     beta = _int_list(opts["beta"] or "", "beta")
     value = depth.mmp_exact_depth(hmin, alpha, beta)
@@ -201,7 +207,7 @@ def _cmd_filtration(opts, seed):
     base.update({
         "status": "ok",
         "length": filt.length,
-        "points": [pt.label() for pt in hecke.enumerate_points(p)[:filt.length]],
+        "points": [hecke.point_at(j, p).label() for j in range(filt.length)],
         "dims": [m.dim for m in chain],
         "det_degrees": [m.det_degree for m in chain],
         "verified": depth.verify_filtration(filt, target),
@@ -217,17 +223,6 @@ def _hecke_point(text: str, field_name: str) -> hecke.RationalPoint:
         return hecke.RationalPoint.affine(int(t))
     except ValueError:
         raise CliInputError(field_name, f"expected an integer or 'inf', got {text!r}")
-
-
-def _default_covector(model, point):
-    for i in range(model.rank):
-        cov = [0] * model.rank
-        cov[i] = 1
-        phi = hecke.PointFunctional(point, tuple(cov))
-        values = (model.basis.array @ hecke._functional_row(model, phi)) % model.p
-        if values.any():
-            return phi
-    raise HierdepthError(f"no usable covector at {point.label()}")
 
 
 def _cmd_hecke_verify(opts, seed):
@@ -259,7 +254,7 @@ def _cmd_hecke_verify(opts, seed):
         except ValueError as e:
             raise CliInputError("covectors", str(e))
     else:
-        functionals = [_default_covector(model, pt) for pt in pts]
+        functionals = [hecke.first_usable_covector(model, pt) for pt in pts]
     report = hecke.commute_check(model, functionals[0], functionals[1])
     return {
         "subcommand": "hecke-verify",
@@ -328,7 +323,7 @@ def parse_code_config(path: str) -> CodeConfig:
     except ValueError:
         raise CliInputError("p", f"expected an integer, got {values['p']!r}")
     space = values.get("space", "P2").upper()
-    if space not in ("P1", "P2"):
+    if space not in SPACES:
         raise CliInputError("space", f"expected P1 or P2, got {values.get('space')!r}")
     if not values["summand"]:
         raise CliInputError("summand", "need at least one summand line")
@@ -339,18 +334,22 @@ def parse_code_config(path: str) -> CodeConfig:
             degree = int(head.strip())
         except ValueError:
             raise CliInputError("summand", f"expected integer degree, got {head!r}")
+        if degree < 0:
+            raise CliInputError("summand", f"degree must be nonnegative, got {degree}")
         conditions = []
         tail = tail.strip()
         if tail:
             for item in tail.split(","):
                 pt_text, _, order_text = item.strip().partition("@")
-                pt = _point(pt_text, "summand")
+                pt = _point(pt_text, "summand", space, p)
                 order = 1
                 if order_text:
                     try:
                         order = int(order_text)
                     except ValueError:
                         raise CliInputError("summand", f"bad order {order_text!r}")
+                if order < 1:
+                    raise CliInputError("summand", f"order must be at least 1, got {order}")
                 conditions.append(VanishingCondition(pt, order))
         summands.append((degree, conditions))
     if "points" not in values:
@@ -358,21 +357,23 @@ def parse_code_config(path: str) -> CodeConfig:
     if values["points"].strip().lower() == "all-rational":
         pts = all_rational_points(space, p)
         excluded = {
-            agcode.normalize_point(_point(t, "exclude"), p)
+            agcode.normalize_point(_point(t, "exclude", space, p), p)
             for t in values["exclude"]
         }
         points = [pt for pt in pts if pt not in excluded]
     else:
         if values["exclude"]:
             raise CliInputError("exclude", "only valid with points = all-rational")
-        points = [_point(t, "points") for t in values["points"].split(",")]
-    exceptional = [_point(t, "exceptional") for t in values["exceptional"]]
+        points = [_point(t, "points", space, p) for t in values["points"].split(",")]
+    exceptional = [_point(t, "exceptional", space, p) for t in values["exceptional"]]
     budget = DEFAULT_BUDGET
     if "budget" in values:
         try:
             budget = int(values["budget"])
         except ValueError:
             raise CliInputError("budget", f"expected an integer, got {values['budget']!r}")
+        if budget <= 0:
+            raise CliInputError("budget", f"must be positive, got {budget}")
     return CodeConfig(
         p=p,
         space=space,
@@ -392,7 +393,6 @@ def _build_from_config(cfg: CodeConfig):
 
 
 def _code_summary(cfg: CodeConfig, code) -> dict:
-    _, report = zero_block_contract(code)
     return {
         "p": cfg.p,
         "space": cfg.space,
@@ -401,7 +401,7 @@ def _code_summary(cfg: CodeConfig, code) -> dict:
         "n": code.n,
         "k": code.k,
         "message_dim": code.message_dim,
-        "zero_blocks": list(report.zero_blocks),
+        "zero_blocks": list(zero_blocks(code)),
     }
 
 

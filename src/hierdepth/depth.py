@@ -14,32 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import SplitBundle
-from .errors import LatticeMismatch, NotEffective, ShapeMismatch
-from .picard import (
+from .errors import (
     NO_DECOMPOSITION,
+    NO_FILTRATION,
+    LatticeMismatch,
+    NotEffective,
+    ShapeMismatch,
+)
+from .picard import (
     DivisorClass,
     LatticeKind,
     decompose_max,
     intersect,
     is_effective,
 )
-
-
-class _NoFiltration:
-    """Sentinel: no filtration reaches the requested normalization."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoFiltration"
-
-
-NO_FILTRATION = _NoFiltration()
 
 
 @dataclass(frozen=True)

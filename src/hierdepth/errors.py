@@ -1,8 +1,35 @@
-"""Shared exception types.
+"""Shared exception types and sentinel answers.
 
 Every module raises from this catalog so callers can distinguish malformed
-input from domain-level failure without string matching.
+input from domain-level failure without string matching. The sentinels
+are answers that stand for "no such value"; they are not errors.
 """
+
+from enum import Enum
+
+
+class Sentinel(Enum):
+    """Singleton answer standing in for a value that does not exist.
+
+    Compare with `is`. Members keep their identity through copy and pickle.
+    """
+
+    NO_FILTRATION = "NoFiltration"
+    NO_DECOMPOSITION = "NoDecomposition"
+    INFEASIBLE = "Infeasible"
+
+    def __repr__(self):
+        return self.value
+
+    __str__ = __repr__
+
+
+# No filtration reaches the requested normalization.
+NO_FILTRATION = Sentinel.NO_FILTRATION
+# The class admits no decomposition into generators.
+NO_DECOMPOSITION = Sentinel.NO_DECOMPOSITION
+# Enumeration would exceed the codeword budget.
+INFEASIBLE = Sentinel.INFEASIBLE
 
 
 class HierdepthError(Exception):

@@ -12,8 +12,6 @@ their echelon forms are equal entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotPrime
@@ -38,53 +36,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Residue in [0, p) with exact field arithmetic."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.p)
-
-    def _check(self, other: "FieldElement"):
-        if self.p != other.p:
-            raise ValueError("field elements have different moduli")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.p)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
 class Field:
-    """Prime field descriptor. Construct through field_new."""
+    """Prime field of order p; construction checks p is a prime in [2, 2**31]."""
 
     __slots__ = ("p",)
 
@@ -93,29 +46,6 @@ class Field:
         if p < 2 or p > MAX_MODULUS or not _is_prime(p):
             raise NotPrime(f"{p} is not a prime in [2, 2**31]")
         self.p = p
-
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value, self.p)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self.p)
-
-    def one(self) -> FieldElement:
-        return FieldElement(1, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Field", self.p))
-
-    def __repr__(self) -> str:
-        return f"Field({self.p})"
-
-
-def field_new(p: int) -> Field:
-    """Return the field with p elements; p must be prime, 2 <= p <= 2**31."""
-    return Field(p)
 
 
 class FMatrix:
@@ -161,11 +91,6 @@ class FMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self._a.shape
-
-    @property
-    def entries(self):
-        """Row-major entry list as FieldElement values (contract view)."""
-        return [FieldElement(int(v), self.p) for v in self._a.ravel()]
 
     @property
     def is_zero(self) -> bool:

@@ -67,10 +67,17 @@ class RationalPoint:
 INFINITY = RationalPoint.infinity()
 
 
+def point_at(j: int, p: int) -> RationalPoint:
+    """The j-th rational point in the fixed order 0, 1, ..., p-1, inf."""
+    if not 0 <= j <= p:
+        raise IndexError(f"point index {j} outside 0..{p}")
+    return INFINITY if j == p else RationalPoint.affine(j)
+
+
 def enumerate_points(p: int) -> list[RationalPoint]:
-    """The p + 1 rational points in the fixed order 0, 1, ..., p-1, inf."""
+    """The p + 1 rational points in the fixed order of point_at."""
     Field(p)
-    return [RationalPoint.affine(v) for v in range(p)] + [INFINITY]
+    return [point_at(j, p) for j in range(p + 1)]
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,23 @@ def apply_transform(m: SubsheafModel, phi: PointFunctional) -> SubsheafModel:
     return _model(m.degrees, m.twist, m.cap, m.p, new_basis, m.det_degree - 1)
 
 
+def first_usable_covector(m: SubsheafModel,
+                          point: RationalPoint) -> PointFunctional:
+    """The first standard-basis covector not vacuous on the subspace at point.
+
+    Raises VacuousTransform when every section of the subspace vanishes
+    at the point.
+    """
+    for i in range(m.rank):
+        cov = [0] * m.rank
+        cov[i] = 1
+        phi = PointFunctional(point, tuple(cov))
+        values = (m.basis.array @ _functional_row(m, phi)) % m.p
+        if values.any():
+            return phi
+    raise VacuousTransform(f"no usable covector at point {point.label()}")
+
+
 @dataclass(frozen=True)
 class CommuteReport:
     """Outcome of comparing transform routes against the joint kernel."""
@@ -275,11 +299,10 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     """Maximal-depth chain of skyscraper transforms at distinct points.
 
     With M = sum(degrees) - lambda0_degree, performs M transforms at the
-    points 0, 1, ..., taken in the fixed enumeration order, choosing at
-    each step the first standard-basis covector that is not vacuous on
-    the current subspace. Returns the determinant-level filtration (read
-    bottom-up) together with the model chain from the full section space
-    down to the final subsheaf.
+    points point_at(0, p), ..., point_at(M - 1, p), choosing at each step
+    the first_usable_covector on the current subspace. Returns the
+    determinant-level filtration (read bottom-up) together with the model
+    chain from the full section space down to the final subsheaf.
 
     Raises NegativeM when the budget is negative and NotEnoughPoints when
     M exceeds the p + 1 rational points.
@@ -303,24 +326,10 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
         degrees, twist, cap, p, FMatrix.identity(p, width), sum(degrees)
     )
     chain = [start]
-    points = enumerate_points(p)
     current = start
     for j in range(steps):
-        q = points[j]
-        chosen = None
-        for i in range(len(degrees)):
-            cov = [0] * len(degrees)
-            cov[i] = 1
-            phi = PointFunctional(q, tuple(cov))
-            values = (current.basis.array @ _functional_row(current, phi)) % p
-            if values.any():
-                chosen = phi
-                break
-        if chosen is None:  # cannot happen while dim > 0
-            raise VacuousTransform(
-                f"no usable covector at point {q.label()}"
-            )
-        current = apply_transform(current, chosen)
+        phi = first_usable_covector(current, point_at(j, p))
+        current = apply_transform(current, phi)
         chain.append(current)
     curve = Lattice.curve()
     filtration = HierFiltration(

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import LatticeMismatch
+from .errors import NO_DECOMPOSITION, LatticeMismatch
 
 
 class LatticeKind(Enum):
@@ -29,23 +29,6 @@ class LatticeKind(Enum):
     P2 = "p2"
     BLOWUP_P2 = "blowup_p2"
     P1XP1 = "p1xp1"
-
-
-class _NoDecomposition:
-    """Sentinel: the class admits no decomposition into generators."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoDecomposition"
-
-
-NO_DECOMPOSITION = _NoDecomposition()
 
 
 @dataclass(frozen=True)

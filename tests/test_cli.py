@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -131,6 +132,19 @@ class TestFiltrationCommand:
         assert rep["status"] == "no-filtration"
         assert rep["length"] is None and rep["dims"] == []
 
+    def test_largest_field_needs_no_point_listing(self):
+        start = time.perf_counter()
+        rep = report_of(
+            ["filtration", "--field", "2147483647", "--degrees", "3,1,0", "--lambda0", "0"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rep["points"] == ["0", "1", "2", "3"]
+
+    def test_chain_through_infinity(self):
+        rep = report_of(["filtration", "--field", "3", "--degrees", "3,1,0", "--lambda0", "0"])
+        assert rep["points"] == ["0", "1", "2", "inf"]
+        assert rep["dims"] == [7, 6, 5, 4, 3]
+
     def test_too_small_field_is_a_domain_error(self):
         rc, _, err = run(["filtration", "--field", "2", "--degrees", "2", "--lambda0", "-2"])
         assert rc == 2
@@ -224,6 +238,14 @@ class TestCodeCommands:
         assert rep["N"] == 5  # the point at infinity was dropped
 
 
+def assert_one_line_error(result, field):
+    rc, out, err = result
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith(f"error: {field}:"), err
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv,field",
@@ -238,14 +260,37 @@ class TestMalformedInput:
                  "--points", "0,1", "--covectors", "1,0"],
                 "covectors",
             ),
+            (["mmp-depth", "--hmin", "-1", "--alpha", "1", "--beta", "0"], "hmin"),
         ],
     )
     def test_exit_one_and_field_named(self, argv, field):
-        rc, out, err = run(argv)
-        assert rc == 1
-        assert out == ""
-        assert err.count("\n") == 1  # a single diagnostic line
-        assert field in err
+        assert_one_line_error(run(argv), field)
+
+    @pytest.mark.parametrize(
+        "keys,field",
+        [
+            pytest.param({"points": "0:0, 1:0"}, "points", id="zero-point"),
+            pytest.param({"points": "5:10, 1:0"}, "points", id="zero-mod-p"),
+            pytest.param({"summand": "-1"}, "summand", id="negative-degree"),
+            pytest.param({"summand": "2; 1:1@0"}, "summand", id="order-zero"),
+            pytest.param({"budget": "-3"}, "budget", id="negative-budget"),
+            pytest.param({"budget": "0"}, "budget", id="zero-budget"),
+            pytest.param({"points": "1:2:3, 1:0"}, "points", id="P1-point-3-coords"),
+            pytest.param({"summand": "2; 1:2:3@1"}, "summand", id="P1-vanishing-3-coords"),
+            pytest.param({"exceptional": "1:2:3"}, "exceptional", id="P1-exceptional-3-coords"),
+            pytest.param(
+                {"points": "all-rational", "exclude": "1:2:3"}, "exclude",
+                id="P1-exclude-3-coords",
+            ),
+            pytest.param(
+                {"space": "P2", "points": "1:2, 1:0:0"}, "points", id="P2-point-2-coords",
+            ),
+        ],
+    )
+    def test_malformed_config_exits_one(self, tmp_path, keys, field):
+        keys = {"p": "5", "space": "P1", "summand": "1", "points": "1:0, 1:1", **keys}
+        cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert_one_line_error(run(["code-analyze", "--config", cfg]), field)
 
     def test_config_errors_name_the_key(self, tmp_path):
         bad = write_config(tmp_path, "p = 5\nspace = P1\npoints = 1:0\n")

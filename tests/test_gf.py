@@ -6,15 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hierdepth.errors import NotPrime
-from hierdepth.gf import (
-    Field,
-    FieldElement,
-    FMatrix,
-    field_new,
-    kernel_basis,
-    rank,
-    rref,
-)
+from hierdepth.gf import Field, FMatrix, kernel_basis, rank, rref
 
 FIELDS = [2, 5, 7]
 
@@ -29,41 +21,13 @@ def det3_oracle(rows, p):
 
 def test_field_new_accepts_primes():
     for p in (2, 3, 5, 7, 101, 2**31 - 1):
-        assert field_new(p).p == p
+        assert Field(p).p == p
 
 
 def test_field_new_rejects_nonprimes():
-    for bad in (0, 1, 4, 6, 9, 1000000):
+    for bad in (0, 1, 4, 6, 9, 1000000, 2**31 + 11):
         with pytest.raises(NotPrime):
-            field_new(bad)
-
-
-def test_element_arithmetic_mod_7():
-    f = field_new(7)
-    a, b = f.element(3), f.element(5)
-    assert (a * b).value == 1
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (-a).value == 4
-    assert a.inverse().value == 5
-
-
-def test_every_nonzero_element_inverts():
-    for p in FIELDS:
-        f = field_new(p)
-        for v in range(1, p):
-            a = f.element(v)
-            assert (a * a.inverse()).value == 1
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        field_new(5).element(0).inverse()
-
-
-def test_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        field_new(5).element(1) + field_new(7).element(1)
+            Field(bad)
 
 
 def test_vandermonde_rank_full():
@@ -142,12 +106,6 @@ def test_rank_bounded_by_shape(p, r, c, rnd):
 def test_matrix_equality_and_entries():
     m = FMatrix(5, [[6, -1], [0, 2]])
     assert m == FMatrix(5, [[1, 4], [0, 2]])
-    assert m.entries == [
-        FieldElement(1, 5),
-        FieldElement(4, 5),
-        FieldElement(0, 5),
-        FieldElement(2, 5),
-    ]
     assert m != FMatrix(7, [[1, 4], [0, 2]])
 
 

@@ -22,7 +22,9 @@ from hierdepth.hecke import (
     build_curve_filtration,
     commute_check,
     enumerate_points,
+    first_usable_covector,
     full_sections,
+    point_at,
     probe_overlap,
 )
 from hierdepth.picard import Lattice
@@ -68,6 +70,16 @@ def test_enumerate_points_order():
     pts = enumerate_points(5)
     assert len(pts) == 6
     assert [pt.label() for pt in pts] == ["0", "1", "2", "3", "4", "inf"]
+    assert pts == [point_at(j, 5) for j in range(6)]
+    with pytest.raises(IndexError):
+        point_at(6, 5)
+
+
+def test_first_usable_covector_skips_empty_summands():
+    m = full_sections([-1, 2], 2, 5)
+    assert first_usable_covector(m, INFINITY).covector == (0, 1)
+    with pytest.raises(VacuousTransform):
+        first_usable_covector(full_sections([-1, -1], 0, 5), INFINITY)
 
 
 def test_full_sections_dimensions():
