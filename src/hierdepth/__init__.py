@@ -24,8 +24,9 @@ from .errors import (
     Sentinel,
     ShapeMismatch,
     VacuousTransform,
+    WidthTooLarge,
 )
-from .gf import Field, FMatrix, kernel_basis, rank, rref
+from .gf import Field, FMatrix, dot_mod, kernel_basis, rank, rref
 from .picard import (
     NO_DECOMPOSITION,
     DivisorClass,

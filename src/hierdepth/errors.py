@@ -56,6 +56,10 @@ class BadTruncation(HierdepthError):
     """Section-space truncation too small for the requested degrees."""
 
 
+class WidthTooLarge(HierdepthError):
+    """Section space wider than the supported maximum for transform chains."""
+
+
 class VacuousTransform(HierdepthError):
     """Evaluation functional vanishes on the whole subspace; no transform."""
 

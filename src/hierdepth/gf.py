@@ -2,8 +2,10 @@
 
 Matrices are stored as int64 numpy arrays with entries reduced into [0, p).
 All eliminations are exact: pivots are inverted with Fermat's little theorem
-and every row operation is reduced mod p immediately, so no intermediate
-value exceeds p**2 and nothing ever leaves the field.
+and every row operation is reduced mod p immediately. A single product of two
+reduced entries stays below p**2 <= 2**62 and fits in int64; a sum of such
+products may not, so every inner product goes through dot_mod, which keeps
+each partial sum below 2**63 or else computes over Python integers.
 
 The reduced row echelon form computed here is the canonical representative
 of a row space: two row-generating sets span the same subspace exactly when
@@ -18,22 +20,42 @@ from .errors import NotPrime
 
 MAX_MODULUS = 2**31
 
-# int64 products a*b with a, b < 2**31 do not overflow; matmul accumulation
-# can, so matmul falls back to exact object arithmetic past this bound.
-_FAST_MATMUL_LIMIT = 2**20
+# Miller-Rabin on these bases is exact below 3 215 031 751 > MAX_MODULUS.
+_WITNESSES = (2, 3, 5, 7)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p as int64, for int64 arrays with entries in [0, p).
+
+    Uses one int64 product when no inner sum can reach 2**63, that is when
+    inner * (p - 1)**2 < 2**63, and Python integers otherwise.
+    """
+    if a.shape[-1] * (p - 1) ** 2 < 2**63:
+        return (a @ b) % p
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 class Field:
@@ -110,12 +132,7 @@ class FMatrix:
             raise ValueError("matrix moduli differ")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        if self.p <= _FAST_MATMUL_LIMIT:
-            prod = (self._a @ other._a) % self.p
-        else:
-            prod = (self._a.astype(object) @ other._a.astype(object)) % self.p
-            prod = prod.astype(np.int64)
-        return FMatrix(self.p, prod)
+        return FMatrix(self.p, dot_mod(self._a, other._a, self.p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FMatrix):
@@ -133,30 +150,52 @@ class FMatrix:
         return f"FMatrix(p={self.p}, shape={self.shape})"
 
 
+def _eliminate(a: np.ndarray, rows: np.ndarray, pivot_row: np.ndarray,
+               coeffs: np.ndarray, c: int, p: int) -> None:
+    """One pivot step, in place: a[rows[k]] -= coeffs[k] * pivot_row mod p.
+
+    pivot_row is zero left of column c, so only columns c: change. Entries
+    and coeffs lie in [0, p), so no product exceeds 2**62.
+    """
+    if rows.size:
+        a[rows, c:] = (a[rows, c:] - coeffs[:, None] * pivot_row[c:]) % p
+
+
 def _rref_array(a: np.ndarray, p: int) -> np.ndarray:
     """Reduced echelon form of an int64 array, zero rows dropped."""
-    a = (a % p).copy()
+    a = a % p
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
             continue
+        pivot = r + int(nz[0])
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - int(a[i, c]) * a[r]) % p
+        a[r, c:] = (a[r, c:] * inv) % p
+        rows = np.flatnonzero(a[:, c])
+        rows = rows[rows != r]
+        _eliminate(a, rows, a[r], a[rows, c], c, p)
         r += 1
     return a[:r]
+
+
+def _is_rref(a: np.ndarray) -> bool:
+    """Whether a reduced array is in reduced echelon form with no zero rows.
+
+    Leading entries must sit in strictly increasing columns, and each
+    leading column must be the matching unit vector. Linear in a's size.
+    """
+    k = a.shape[0]
+    lead = (a != 0).argmax(axis=1)
+    return bool(
+        (np.diff(lead) > 0).all()
+        and np.array_equal(a[:, lead], np.eye(k, dtype=a.dtype))
+    )
 
 
 def rref(m: FMatrix) -> FMatrix:
@@ -197,13 +236,32 @@ def subspace_kernel(basis: FMatrix, functional_rows: np.ndarray) -> FMatrix:
     """Canonical basis of {v in rowspace(basis) : F v^T = 0}.
 
     functional_rows holds one functional per row in ambient coordinates.
+
+    Each functional f costs one pivot step on the echelon basis B: with
+    the values v = B f, the last row r with v_r != 0 is subtracted, scaled
+    by v_i / v_r, from every row i with v_i != 0, and then dropped. When
+    B is in reduced echelon form, as every transform result is, row r is
+    zero in every other pivot column and its pivot lies right of theirs,
+    so the result is again the canonical reduced echelon form and needs
+    no re-elimination. A basis not in that form is reduced once first.
     """
     p = basis.p
-    if basis.rows == 0:
+    a = basis.array
+    if a.shape[0] == 0:
         return basis
-    vals = (basis.array @ (functional_rows.T % p)) % p  # rows x functionals
-    coeffs = kernel_basis(FMatrix(p, vals.T, cols=basis.rows))
-    if coeffs.rows == 0:
-        return FMatrix.zeros(p, 0, basis.cols)
-    new_rows = (coeffs.array @ basis.array) % p
-    return FMatrix(p, _rref_array(new_rows, p), cols=basis.cols)
+    if not _is_rref(a):
+        a = _rref_array(a, p)
+    for f in np.asarray(functional_rows, dtype=np.int64) % p:
+        v = dot_mod(a, f, p)
+        rows = np.flatnonzero(v)
+        if rows.size == 0:
+            continue
+        r = int(rows[-1])
+        rows = rows[:-1]
+        pivot_row = a[r]
+        # rows affected all lie above r, so deleting r keeps their indices
+        a = np.delete(a, r, axis=0)
+        inv = pow(int(v[r]), p - 2, p)
+        c = int(np.flatnonzero(pivot_row)[0])
+        _eliminate(a, rows, pivot_row, (v[rows] * inv) % p, c, p)
+    return FMatrix(p, a, cols=basis.cols)

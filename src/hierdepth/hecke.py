@@ -34,6 +34,7 @@ from .errors import (
     NotEnoughPoints,
     OverlappingSupport,
     VacuousTransform,
+    WidthTooLarge,
 )
 from .gf import Field, FMatrix
 from .picard import Lattice
@@ -148,12 +149,27 @@ def _model(degrees, twist, cap, p, basis, det_degree) -> SubsheafModel:
     )
 
 
+# Widest section space a model may have. A full chain of transforms at this
+# width takes under a second at p = 100003 and a few seconds at
+# p = 2**31 - 1, where dot_mod computes over Python integers; its starting
+# identity holds MAX_WIDTH**2 int64 entries (1.1 MiB).
+MAX_WIDTH = 384
+
+
+def _check_width(width: int) -> None:
+    if width > MAX_WIDTH:
+        raise WidthTooLarge(
+            f"section space width {width} exceeds the maximum {MAX_WIDTH}"
+        )
+
+
 def full_sections(degrees, cap: int, p: int) -> SubsheafModel:
     """Model holding every section of O(d_1) + ... + O(d_r).
 
     The dimension is the sum of d_i + 1 over nonnegative degrees; summands
     of negative degree contribute zero-width blocks. The cap must be at
-    least max(0, max(d_i)).
+    least max(0, max(d_i)). Raises WidthTooLarge when the dimension
+    exceeds MAX_WIDTH.
     """
     Field(p)
     degrees = tuple(int(d) for d in degrees)
@@ -164,8 +180,34 @@ def full_sections(degrees, cap: int, p: int) -> SubsheafModel:
             f"cap {cap} below max degree {max(0, max(degrees))}"
         )
     width = sum(max(d + 1, 0) for d in degrees)
+    _check_width(width)
     basis = FMatrix.identity(p, width)
     return _model(degrees, 0, cap, p, basis, sum(degrees))
+
+
+def _block_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
+    """Evaluation at the point of each block alone, one row per summand.
+
+    Row i is the functional of the covector e_i: the powers 1, q, q^2, ...
+    of q = point across block i, or the block's top coefficient at infinity.
+    """
+    widths = m.block_widths
+    rows = np.zeros((m.rank, sum(widths)), dtype=np.int64)
+    powers = np.zeros(max(widths, default=0), dtype=np.int64)
+    if not point.is_infinity:
+        q = point.coord % m.p
+        val = 1
+        for k in range(powers.size):
+            powers[k] = val
+            val = (val * q) % m.p
+    for i, (w, off) in enumerate(zip(widths, m.block_offsets)):
+        if w == 0:
+            continue
+        if point.is_infinity:
+            rows[i, off + w - 1] = 1
+        else:
+            rows[i, off:off + w] = powers[:w]
+    return rows
 
 
 def _functional_row(m: SubsheafModel, phi: PointFunctional) -> np.ndarray:
@@ -173,22 +215,8 @@ def _functional_row(m: SubsheafModel, phi: PointFunctional) -> np.ndarray:
         raise ValueError(
             f"covector length {len(phi.covector)} does not match rank {m.rank}"
         )
-    row = np.zeros(m.total_width, dtype=np.int64)
-    widths = m.block_widths
-    offsets = m.block_offsets
-    for i, (w, off) in enumerate(zip(widths, offsets)):
-        c = phi.covector[i] % m.p
-        if w == 0 or c == 0:
-            continue
-        if phi.point.is_infinity:
-            row[off + w - 1] = c
-        else:
-            q = phi.point.coord % m.p
-            val = 1
-            for k in range(w):
-                row[off + k] = (c * val) % m.p
-                val = (val * q) % m.p
-    return row
+    cov = np.array([c % m.p for c in phi.covector], dtype=np.int64)
+    return gf.dot_mod(cov, _block_rows(m, phi.point), m.p)
 
 
 def apply_transform(m: SubsheafModel, phi: PointFunctional) -> SubsheafModel:
@@ -196,15 +224,14 @@ def apply_transform(m: SubsheafModel, phi: PointFunctional) -> SubsheafModel:
 
     Drops the subspace dimension and the determinant ledger by exactly
     one. Raises VacuousTransform when the functional vanishes on the
-    whole subspace.
+    whole subspace, which is exactly when the kernel keeps every row.
     """
     row = _functional_row(m, phi)
-    values = (m.basis.array @ row) % m.p
-    if not values.any():
+    new_basis = gf.subspace_kernel(m.basis, row.reshape(1, -1))
+    if new_basis.rows == m.dim:
         raise VacuousTransform(
             f"functional at {phi.point.label()} vanishes on the subspace"
         )
-    new_basis = gf.subspace_kernel(m.basis, row.reshape(1, -1))
     return _model(m.degrees, m.twist, m.cap, m.p, new_basis, m.det_degree - 1)
 
 
@@ -215,14 +242,13 @@ def first_usable_covector(m: SubsheafModel,
     Raises VacuousTransform when every section of the subspace vanishes
     at the point.
     """
-    for i in range(m.rank):
-        cov = [0] * m.rank
-        cov[i] = 1
-        phi = PointFunctional(point, tuple(cov))
-        values = (m.basis.array @ _functional_row(m, phi)) % m.p
-        if values.any():
-            return phi
-    raise VacuousTransform(f"no usable covector at point {point.label()}")
+    values = gf.dot_mod(m.basis.array, _block_rows(m, point).T, m.p)
+    usable = np.flatnonzero(values.any(axis=0))
+    if usable.size == 0:
+        raise VacuousTransform(f"no usable covector at point {point.label()}")
+    cov = [0] * m.rank
+    cov[int(usable[0])] = 1
+    return PointFunctional(point, tuple(cov))
 
 
 @dataclass(frozen=True)
@@ -289,7 +315,10 @@ def probe_overlap(m: SubsheafModel, f1: PointFunctional,
 
 
 def _choose_twist(degrees, steps: int) -> int:
-    twist = 0
+    # Up to twist -1 - max(degrees) every block is empty, so the search can
+    # start there unless no step is needed; from there it takes at most
+    # steps turns, since the widest block grows by one per turn.
+    twist = max(0, -1 - max(degrees)) if steps else 0
     while sum(max(d + twist + 1, 0) for d in degrees) < steps:
         twist += 1
     return twist
@@ -304,8 +333,9 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     determinant-level filtration (read bottom-up) together with the model
     chain from the full section space down to the final subsheaf.
 
-    Raises NegativeM when the budget is negative and NotEnoughPoints when
-    M exceeds the p + 1 rational points.
+    Raises NegativeM when the budget is negative, NotEnoughPoints when
+    M exceeds the p + 1 rational points, and WidthTooLarge when the
+    twisted section space is wider than MAX_WIDTH.
     """
     Field(p)
     degrees = tuple(int(d) for d in degrees)
@@ -319,9 +349,13 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
             f"{steps} transforms need {steps} distinct points; only "
             f"{p + 1} available over F_{p}"
         )
+    # the twisted width is at least steps; checking steps first keeps
+    # _choose_twist from searching up to a huge twist
+    _check_width(steps)
     twist = _choose_twist(degrees, steps)
     cap = sum(abs(d) for d in degrees) + steps + 1
     width = sum(max(d + twist + 1, 0) for d in degrees)
+    _check_width(width)
     start = _model(
         degrees, twist, cap, p, FMatrix.identity(p, width), sum(degrees)
     )

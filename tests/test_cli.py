@@ -150,6 +150,30 @@ class TestFiltrationCommand:
         assert rc == 2
         assert "NotEnoughPoints" in err
 
+    @pytest.mark.parametrize("degrees, lambda0", [
+        ("1000000", "0"),          # a million transforms
+        ("600,0", "590"),          # ten transforms, but 602 columns
+    ])
+    def test_oversized_section_space_is_refused(self, degrees, lambda0):
+        start = time.perf_counter()
+        rc, out, err = run(
+            ["filtration", "--field", "2147483647", "--degrees", degrees,
+             "--lambda0", lambda0]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: WidthTooLarge:"), err
+
+    def test_very_negative_degree_needs_no_long_twist_search(self):
+        start = time.perf_counter()
+        rep = report_of(
+            ["filtration", "--field", "7", "--degrees", "-1000000000",
+             "--lambda0", "-1000000003"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rep["dims"] == [3, 2, 1, 0]
+
 
 class TestHeckeVerifyCommand:
     def test_explicit_covectors(self):
@@ -175,6 +199,13 @@ class TestHeckeVerifyCommand:
         )
         assert rc == 2
         assert "OverlappingSupport" in err
+
+    def test_oversized_section_space_is_refused(self):
+        rc, _, err = run(
+            ["hecke-verify", "--field", "5", "--degrees", "300,300", "--points", "0,1"]
+        )
+        assert rc == 2
+        assert err.startswith("error: WidthTooLarge:"), err
 
 
 class TestCodeCommands:

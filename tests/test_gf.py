@@ -1,14 +1,26 @@
 """Exact prime-field linear algebra: canonical forms, ranks, kernels."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hierdepth import gf
 from hierdepth.errors import NotPrime
-from hierdepth.gf import Field, FMatrix, kernel_basis, rank, rref
+from hierdepth.gf import (
+    Field,
+    FMatrix,
+    dot_mod,
+    kernel_basis,
+    rank,
+    rref,
+    subspace_kernel,
+)
 
 FIELDS = [2, 5, 7]
+BIG = 2**31 - 1
 
 
 def det3_oracle(rows, p):
@@ -139,3 +151,139 @@ def test_empty_matrix_shapes():
     assert m.shape == (0, 4)
     assert rank(m) == 0
     assert kernel_basis(m) == FMatrix.identity(5, 4)
+
+
+def trial_division(n):
+    """Oracle: n is prime when no d with d*d <= n divides it."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_prime_check_matches_trial_division_below_200000():
+    # Sieve of Eratosthenes: trial division by every prime, done in bulk.
+    limit = 200_000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [n for n in range(limit) if gf._is_prime(n)] == list(np.flatnonzero(sieve))
+
+
+def test_prime_check_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to base 2; to bases 2, 3; to bases 2, 3, 5
+    for n in (2047, 1_373_653, 25_326_001):
+        assert not trial_division(n)
+        assert not gf._is_prime(n)
+
+
+def test_prime_check_matches_trial_division_near_2_31():
+    rnd = random.Random(31)
+    for n in [rnd.randrange(2**30, 2**31 + 1) for _ in range(2000)] + [BIG]:
+        assert gf._is_prime(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**20 + 7, BIG])
+@pytest.mark.parametrize("inner", [0, 1, 2, 40, 2**16])
+def test_dot_mod_matches_python_ints(p, inner):
+    # At 2**31 - 1 the inner sizes reach both the int64 and the object path.
+    rng = np.random.RandomState(inner)
+    a = rng.randint(0, p, size=(3, inner)).astype(np.int64)
+    b = rng.randint(0, p, size=(inner, 2)).astype(np.int64)
+    a[0] = p - 1  # the largest products
+    b[:, 0] = p - 1
+    expect = [
+        [sum(int(x) * int(y) for x, y in zip(a[i], b[:, j])) % p for j in range(2)]
+        for i in range(3)
+    ]
+    assert dot_mod(a, b, p).tolist() == expect
+    assert dot_mod(a, b[:, 0], p).tolist() == [row[0] for row in expect]
+
+
+def rref_rowwise(a, p):
+    """Reference elimination: one Python row operation at a time."""
+    a = [[int(x) % p for x in row] for row in a]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return a[:r]
+
+
+def subspace_kernel_reference(basis, functionals):
+    """Kernel in coefficient space, mapped back and re-eliminated."""
+    p = basis.p
+    rows = basis.tolist()
+    if not rows:
+        return basis
+    vals = [[sum(x * int(y) for x, y in zip(row, f)) % p for row in rows]
+            for f in functionals]
+    coeffs = kernel_basis(FMatrix(p, vals, cols=len(rows))).tolist()
+    combos = [
+        [sum(c * row[j] for c, row in zip(cs, rows)) % p for j in range(basis.cols)]
+        for cs in coeffs
+    ]
+    return FMatrix(p, rref_rowwise(combos, p), cols=basis.cols)
+
+
+MATRIX_FIELDS = [2, 3, 5, 7, 101, 65537, BIG]
+
+
+@given(
+    st.sampled_from(MATRIX_FIELDS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.randoms(use_true_random=False),
+)
+def test_rref_matches_rowwise_elimination(p, r, c, rnd):
+    data = [[rnd.randrange(p) for _ in range(c)] for _ in range(r)]
+    m = FMatrix(p, data, cols=c)
+    assert rref(m).tolist() == rref_rowwise(data, p)
+
+
+@given(
+    st.sampled_from(MATRIX_FIELDS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["raw", "echelon", "mixed"]),
+    st.randoms(use_true_random=False),
+)
+def test_subspace_kernel_matches_coefficient_kernel(p, r, c, k, shape, rnd):
+    # Sparse entries make dependent rows, zero values and zero functionals.
+    def entry():
+        return rnd.randrange(p) if rnd.random() < 0.6 else 0
+
+    data = [[entry() for _ in range(c)] for _ in range(r)]
+    if shape != "raw":
+        data = rref_rowwise(data, p)
+    if shape == "mixed" and len(data) > 1:
+        # same row space, no longer reduced: add a multiple of the last row
+        data[0] = [(x + 2 * y) % p for x, y in zip(data[0], data[-1])]
+    basis = FMatrix(p, data, cols=c)
+    functionals = np.array(
+        [[entry() for _ in range(c)] for _ in range(k)], dtype=np.int64
+    ).reshape(k, c)
+    got = subspace_kernel(basis, functionals)
+    assert got == subspace_kernel_reference(basis, functionals)
+    # the kernel lies in the kernel of every functional
+    for row in got.tolist():
+        for f in functionals.tolist():
+            assert sum(x * y for x, y in zip(row, f)) % p == 0

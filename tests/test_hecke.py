@@ -3,8 +3,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from hierdepth import gf
 from hierdepth.depth import curve_split_depth, verify_filtration
 from hierdepth.bundle import SplitBundle
 from hierdepth.errors import (
@@ -13,9 +15,11 @@ from hierdepth.errors import (
     NotEnoughPoints,
     OverlappingSupport,
     VacuousTransform,
+    WidthTooLarge,
 )
 from hierdepth.hecke import (
     INFINITY,
+    MAX_WIDTH,
     PointFunctional,
     RationalPoint,
     apply_transform,
@@ -66,6 +70,16 @@ def eval_functional(vector, model, phi):
     return total
 
 
+def in_span(vectors, basis):
+    """Whether every row of vectors lies in the row space of an echelon
+    basis. Oracle: combining the basis rows by a vector's entries in the
+    pivot columns must give the vector back, in Python integers."""
+    rows = np.array(basis.tolist(), dtype=object).reshape(basis.shape)
+    vecs = np.array(vectors.tolist(), dtype=object).reshape(vectors.shape)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    return ((vecs[:, pivots] @ rows) % basis.p == vecs).all()
+
+
 def test_enumerate_points_order():
     pts = enumerate_points(5)
     assert len(pts) == 6
@@ -86,6 +100,14 @@ def test_full_sections_dimensions():
     assert full_sections([3, 1, 0], 4, 5).dim == 7
     assert full_sections([-1], 0, 5).dim == 0
     assert full_sections([2, -3], 2, 7).dim == 3
+
+
+def test_full_sections_width_cap():
+    assert full_sections([MAX_WIDTH - 1], MAX_WIDTH, 5).dim == MAX_WIDTH
+    with pytest.raises(WidthTooLarge):
+        full_sections([MAX_WIDTH], MAX_WIDTH, 5)
+    with pytest.raises(WidthTooLarge):
+        full_sections([10**9], 10**9, 5)
 
 
 def test_full_sections_checks_cap():
@@ -115,6 +137,22 @@ def test_transform_at_infinity_reads_top_coefficient():
     out = apply_transform(m, PointFunctional(INFINITY, (1,)))
     # degree-1 coefficient dies, constants survive
     assert out.basis.tolist() == [[1, 0]]
+
+
+def test_chained_transforms_exact_near_2_31():
+    # Inner products here reach 63 * (p - 1)**2, far past int64.
+    p = 2**31 - 1
+    rng = random.Random(31)
+    m = full_sections([20, 20, 20], 20, p)
+    for q in rng.sample(range(p), 50):
+        cov = tuple(rng.randrange(1, p) for _ in range(3))
+        phi = PointFunctional(RationalPoint.affine(q), cov)
+        out = apply_transform(m, phi)
+        assert out.dim == m.dim - 1
+        for v in out.basis.tolist():
+            assert eval_functional(v, out, phi) == 0
+        assert in_span(out.basis, m.basis)
+        m = out
 
 
 def test_vacuous_transform_refused():
@@ -300,6 +338,37 @@ class TestBuildChain:
         filt, chain = build_curve_filtration([1, 1], -1, 2)  # M = 3 = p + 1
         assert filt.length == 3
         assert [m.det_degree for m in chain] == [2, 1, 0, -1]
+
+    def test_transform_path_needs_no_re_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("re-elimination on the transform path")
+
+        monkeypatch.setattr(gf, "kernel_basis", refuse)
+        monkeypatch.setattr(gf, "_rref_array", refuse)
+        filt, chain = build_curve_filtration([3, 1, 0], 0, 5)
+        assert [m.dim for m in chain] == [7, 6, 5, 4, 3]
+        assert build_curve_filtration([0, -3], -5, 5)[0].length == 2
+        m = full_sections([2, 2], 2, 7)
+        rep = commute_check(
+            m,
+            first_usable_covector(m, point_at(0, 7)),
+            first_usable_covector(m, INFINITY),
+        )
+        assert rep.equal and rep.dim_joint == 4
+
+    def test_width_cap(self):
+        widest = MAX_WIDTH - 1
+        _, chain = build_curve_filtration([widest], widest - 2, 7)
+        assert [m.dim for m in chain] == [MAX_WIDTH, MAX_WIDTH - 1, MAX_WIDTH - 2]
+        with pytest.raises(WidthTooLarge):
+            build_curve_filtration([MAX_WIDTH], MAX_WIDTH - 2, 7)  # 2 steps
+        with pytest.raises(WidthTooLarge):
+            build_curve_filtration([10**6], 0, 2**31 - 1)  # 10**6 steps
+
+    def test_twist_search_starts_below_the_empty_blocks(self):
+        _, chain = build_curve_filtration([-10**9], -10**9 - 3, 7)
+        assert [m.dim for m in chain] == [3, 2, 1, 0]
+        assert chain[0].twist == 10**9 + 2
 
     def test_randomized_lengths_match_curve_depth(self):
         rng = random.Random(41)
