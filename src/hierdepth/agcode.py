@@ -13,6 +13,11 @@ zero, and contracting those blocks is the code-level shadow of running the
 bundle through the blowdown. Contraction keeps the dimension and the exact
 minimum distance while shortening the length, so the normalized distance
 improves by the ratio of the lengths.
+
+The minimum distance is exact and exhaustive: min_distance visits every
+projective message class, and counts zero coordinates with float32
+products of 0/1 entries whose sums stay at most n < 2**24, so no rounding
+can occur; its table of combinations is at most 1 MiB.
 """
 
 from __future__ import annotations
@@ -261,6 +266,27 @@ def _projective_class_count(p: int, k: int) -> int:
     return (p**k - 1) // (p - 1)
 
 
+# Cells of the one-hot table, (n * p) x p**t float32: at most 1 MiB.
+TABLE_CELLS = 1 << 18
+# Cells of one chunk of head words: one-hot float32 rows, or int64 words
+# when there is no table. Chunks of 2**17 to 2**22 cells time alike on
+# workload codes; the small end keeps memory low.
+CHUNK_CELLS = 1 << 18
+# float32 holds every integer up to 2**24 exactly.
+_EXACT_FLOAT32 = 1 << 24
+
+
+def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
+    """All p**t combinations of the t given rows mod p; row 0 is zero."""
+    n = rows.shape[1]
+    table = np.zeros((1, n), dtype=np.int64)
+    for row in rows:
+        # only made when some row fits the table, so p is small here
+        coeffs = np.arange(p, dtype=np.int64)[:, None, None]
+        table = ((coeffs * row + table) % p).reshape(-1, n)
+    return table
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """Exact minimum weight by projective enumeration of the message space.
 
@@ -269,6 +295,21 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     (p**k - 1) / (p - 1) of them over an echelon generator of rank k.
     Returns INFEASIBLE without enumerating when the class count exceeds
     the budget; otherwise caches the result on the code.
+
+    The enumeration is exhaustive. The last t echelon rows are tabulated
+    once: all p**t of their combinations, as a one-hot float32 table with
+    a 1 at (j * p + value at j, combination), at most TABLE_CELLS = 2**18
+    cells (1 MiB). The classes with a zero head are the table's nonzero
+    rows. Every other class is a head class (lead row plus later head
+    rows) plus one table row. The table holds -x with every row x, so
+    these classes are the differences w - x of a head word w and a table
+    row x, and w - x is zero at j exactly where w_j = x_j. One product of
+    the head words' one-hot rows with the table counts those coordinates
+    for every pair, so a chunk of head classes costs one float32 matrix
+    product. It is exact: every entry is 0 or 1 and every sum is at most
+    n < 2**24, which float32 holds whatever the summation order. When no
+    row fits the table (t = 0, as for large p), each head word's weight
+    is counted directly.
     """
     if code.k < 1:
         raise EmptyCode("code has no nonzero codeword")
@@ -276,27 +317,39 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
         return code.d_min
     p = code.p
     reduced = gf.rref(code.generator).array  # k x n, independent rows
-    k = reduced.shape[0]
+    k, n = reduced.shape
     if _projective_class_count(p, k) > budget:
         return INFEASIBLE
-    best = code.n
-    chunk = 1 << 13
-    for lead in range(k):
-        tail = k - lead - 1
-        total = p**tail
-        tail_rows = reduced[lead + 1:]
-        lead_word = reduced[lead]
-        powers = p ** np.arange(tail - 1, -1, -1, dtype=np.int64)
+    t = 0
+    if n < _EXACT_FLOAT32:
+        while t < k and p ** (t + 2) * n <= TABLE_CELLS:
+            t += 1
+    head = reduced[:k - t]
+    table = _combinations(reduced[k - t:], p)
+    best = int(np.count_nonzero(table[1:], axis=1).min()) if t else n
+    # head classes per chunk: no more than the first lead row has
+    width = n * p if t else n
+    chunk = max(1, min(CHUNK_CELLS // width, p ** max(k - t - 1, 0)))
+    if 0 < t < k:
+        columns = np.arange(n, dtype=np.int64) * p
+        onehot = np.zeros((width, p**t), dtype=np.float32)
+        onehot[columns + table, np.arange(p**t)[:, None]] = 1
+        # flat index of (head word c, coordinate j, value 0) in a chunk
+        offsets = np.arange(chunk, dtype=np.int64)[:, None] * width + columns
+    for lead in range(k - t):
+        later = head[lead + 1:]
+        total = p ** len(later)
+        powers = p ** np.arange(len(later) - 1, -1, -1, dtype=np.int64)
         for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            idx = np.arange(start, stop, dtype=np.int64)
-            if tail:
-                digits = (idx[:, None] // powers) % p
-                words = (digits @ tail_rows + lead_word) % p
+            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            digits = (idx[:, None] // powers) % p
+            words = (gf.dot_mod(digits, later, p) + head[lead]) % p
+            if t:
+                hits = np.zeros((len(idx), width), dtype=np.float32)
+                hits.reshape(-1)[offsets[:len(idx)] + words] = 1
+                low = n - int((hits @ onehot).max())
             else:
-                words = lead_word[None, :] % p
-            weights = np.count_nonzero(words, axis=1)
-            low = int(weights.min())
+                low = int(np.count_nonzero(words, axis=1).min())
             if low < best:
                 best = low
     code.d_min = best

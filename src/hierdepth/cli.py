@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 
 from . import agcode, depth, hecke
 from .bundle import SplitBundle, parse_bundle
@@ -412,11 +415,27 @@ def _cmd_code_build(opts, seed):
     out.update(_code_summary(cfg, code))
     export = opts.get("export_generator")
     if export:
-        with open(export, "w", encoding="utf-8") as fh:
-            for row in code.generator.tolist():
-                fh.write(" ".join(str(v) for v in row) + "\n")
+        _write_over(export, "".join(
+            " ".join(str(v) for v in row) + "\n" for row in code.generator.tolist()
+        ))
         out["generator_file"] = export
     return out
+
+
+def _write_over(path: str, text: str) -> None:
+    """Write text to path, replacing what was there.
+
+    The file is not truncated before the write: on ext4 (auto_da_alloc)
+    truncating a non-empty file to zero and rewriting it forces a flush
+    when it is closed. A regular file is cut to the written length
+    afterwards; devices and pipes are left as they are. Nothing is synced.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), len(data))
 
 
 def _cmd_code_analyze(opts, seed):
@@ -495,7 +514,9 @@ def run(config: RunConfig) -> dict:
     return _COMMANDS[config.subcommand](config.options, config.seed)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused after."""
     parser = _Parser(prog="hierdepth", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -4,9 +4,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hierdepth import agcode, gf
 from hierdepth.agcode import (
     INFEASIBLE,
     LinearCode,
@@ -244,6 +248,89 @@ class TestReedSolomonGrid:
         )
         with pytest.raises(EmptyCode):
             min_distance(dead)
+
+
+def line_code(p, rows, n):
+    """A code with the given generator rows, one coordinate per point."""
+    generator = FMatrix(p, rows, cols=n)
+    return LinearCode(
+        p=p, r=1, points=tuple((1, j) for j in range(n)),
+        generator=generator, k=gf.rank(generator), message_dim=len(rows),
+    )
+
+
+# Message dimensions whose p**k messages the pure-Python oracle lists fast.
+ORACLE_DIMS = {2: 5, 3: 5, 5: 5, 7: 4, 13: 3}
+
+
+@st.composite
+def small_codes(draw):
+    """Generators with zero columns and dependent rows, at small p."""
+    p = draw(st.sampled_from(sorted(ORACLE_DIMS)))
+    n = draw(st.integers(1, 20))
+    dims = draw(st.integers(1, ORACLE_DIMS[p]))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    entry = st.integers(0, p - 1)
+    rows = [
+        [0 if j in zero else draw(entry) for j in range(n)]
+        for _ in range(dims)
+    ]
+    if dims > 1 and draw(st.booleans()):
+        c = draw(entry)
+        rows[-1] = [(c * a + b) % p for a, b in zip(rows[0], rows[1])]
+    return line_code(p, rows, n)
+
+
+class TestEnumerationEngine:
+    """min_distance against brute force, with and without the table."""
+
+    @pytest.mark.parametrize("table", ["default", "none", "one row", "whole"])
+    @given(code=small_codes())
+    def test_matches_the_oracle(self, table, code):
+        if code.k == 0:
+            with pytest.raises(EmptyCode):
+                min_distance(code)
+            return
+        cells = {
+            "default": agcode.TABLE_CELLS,
+            "none": 0,  # t = 0
+            "one row": code.p**2 * code.n,  # t = 1
+            "whole": code.p ** (code.k + 1) * code.n,  # t = k
+        }[table]
+        with patch.object(agcode, "TABLE_CELLS", cells):
+            assert min_distance(code) == oracle_min_weight(code)
+
+    @pytest.mark.parametrize("p", [65537, 2**20 + 7, 2**31 - 1])
+    def test_one_row_at_large_p(self, p):
+        row = [0, p - 1, 1, 0, p // 2, 2, 0]
+        assert min_distance(line_code(p, [row], len(row))) == 4
+
+    def test_two_rows_at_65537(self):
+        p = 65537
+        # both rows have weight 5; row 0 - 5 * row 1 has weight 4
+        rows = [[1, 0, 5, 2, 7, 10], [0, 1, 1, 3, 4, 2]]
+        code = line_code(p, rows, 6)
+
+        def weight(c):
+            return sum(1 for a, b in zip(*rows) if (a + c * b) % p)
+
+        want = min([sum(1 for b in rows[1] if b)] + [weight(c) for c in range(p)])
+        assert min_distance(code, budget=p + 1) == want == 4
+
+    def test_budget_equal_to_the_class_count_enumerates(self):
+        b = vanishing_basis(3, [], "P1", 5)
+        code = build_code([b], all_rational_points("P1", 5), 5)
+        assert min_distance(code, budget=(5**4 - 1) // 4) == 3
+
+    def test_budget_below_the_class_count_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(agcode, "_combinations", refuse)
+        b = vanishing_basis(3, [], "P1", 5)
+        code = build_code([b], all_rational_points("P1", 5), 5)
+        assert min_distance(code, budget=(5**4 - 1) // 4 - 1) is INFEASIBLE
+        assert code.d_min is None
 
 
 FROZEN_REGULAR = [

@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hierdepth import cli
 from hierdepth.cli import main
 
 SCHEMAS = json.loads(
@@ -228,6 +229,22 @@ class TestCodeCommands:
         assert all(len(r) == rep["n"] for r in rows)
         assert all(0 <= x < 5 for r in rows for x in r)
 
+    def test_shorter_export_replaces_a_longer_one(self, tmp_path):
+        big = write_config(tmp_path, SCALED_CFG, "big.cfg")
+        small = write_config(tmp_path, RS_CFG, "small.cfg")
+        target, fresh = tmp_path / "gen.txt", tmp_path / "fresh.txt"
+        report_of(["code-build", "--config", big, "--export-generator", str(target)])
+        longer = target.read_text()
+        report_of(["code-build", "--config", small, "--export-generator", str(target)])
+        report_of(["code-build", "--config", small, "--export-generator", str(fresh)])
+        assert len(fresh.read_text()) < len(longer)
+        assert target.read_text() == fresh.read_text()
+
+    def test_export_to_a_device(self, tmp_path):
+        cfg = write_config(tmp_path, RS_CFG)
+        rep = report_of(["code-build", "--config", cfg, "--export-generator", "/dev/null"])
+        assert rep["generator_file"] == "/dev/null"
+
     def test_analyze_reed_solomon(self, tmp_path):
         cfg = write_config(tmp_path, RS_CFG)
         rep = report_of(["code-analyze", "--config", cfg])
@@ -346,6 +363,29 @@ class TestOutputDiscipline:
         first = run(argv)
         second = run(argv)
         assert first == second
+
+    def test_reused_parser_answers_like_a_fresh_one(self, tmp_path):
+        cfg = write_config(tmp_path, RS_CFG)
+        calls = [
+            ["hecke-verify", "--field", "7", "--degrees", "2,1",
+             "--points", "0,1", "--covectors", "0,1;1,0"],
+            ["hecke-verify", "--field", "7", "--degrees", "2,1", "--points", "0,1"],
+            ["depth", "--curve", "--degrees", "2,1"],
+            ["--format", "text", "depth", "--curve", "--degrees", "2,1", "--lambda0", "0"],
+            ["code-analyze", "--config", cfg],
+            ["--seed", "5", "mmp-depth", "--hmin", "1", "--alpha", "1", "--beta", "1"],
+            ["depth", "--curve", "--degrees", "2,1", "--lambda0", "0"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        reused = [run(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0]
+        default = json.loads(reused[1][1])["covectors"]
+        assert default != json.loads(reused[0][1])["covectors"]
 
     def test_seed_is_echoed(self):
         rep = report_of(["--seed", "3", "depth", "--curve", "--degrees", "2,1", "--lambda0", "0"])
