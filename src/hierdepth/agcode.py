@@ -165,10 +165,7 @@ def vanishing_basis(degree: int, conditions, space: str,
     rows = []
     for cond in conditions:
         rows.extend(_condition_rows(degree, space, cond, p))
-    if not rows:
-        basis = FMatrix.identity(p, len(monos))
-    else:
-        basis = gf.kernel_basis(FMatrix(p, rows, cols=len(monos)))
+    basis = gf.kernel_basis(FMatrix(p, rows, cols=len(monos)))
     return SectionBasis(space=space, degree=degree, p=p, basis=basis)
 
 
@@ -378,6 +375,24 @@ def zero_blocks(code: LinearCode) -> tuple[int, ...]:
     )
 
 
+def _take_blocks(code: LinearCode, blocks, d_min=None) -> LinearCode:
+    """The code on the point blocks listed; block j is block blocks[j].
+
+    Callers leave out only zero blocks, which carry no rank, so k is kept.
+    """
+    r = code.r
+    cols = [j * r + i for j in blocks for i in range(r)]
+    return LinearCode(
+        p=code.p,
+        r=r,
+        points=tuple(code.points[j] for j in blocks),
+        generator=FMatrix(code.p, code.generator.array[:, cols], cols=len(cols)),
+        k=code.k,
+        message_dim=code.message_dim,
+        d_min=d_min,
+    )
+
+
 def zero_block_contract(code: LinearCode):
     """Drop every point block on which all codewords vanish.
 
@@ -388,23 +403,13 @@ def zero_block_contract(code: LinearCode):
     the report carries the normalized-distance comparison when the input
     distance was already known.
     """
-    r = code.r
-    arr = code.generator.array
     zero = zero_blocks(code)
     keep = [j for j in range(code.num_points) if j not in set(zero)]
-    cols = [j * r + i for j in keep for i in range(r)]
-    contracted = LinearCode(
-        p=code.p,
-        r=r,
-        points=tuple(code.points[j] for j in keep),
-        generator=FMatrix(code.p, arr[:, cols], cols=len(cols)),
-        k=code.k,  # zero columns carry no rank
-        message_dim=code.message_dim,
-    )
+    contracted = _take_blocks(code, keep)
     delta_before = delta_after = None
     if code.d_min is not None and keep:
         delta_before = Fraction(code.d_min, code.n)
-        delta_after = Fraction(code.d_min, r * len(keep))
+        delta_after = Fraction(code.d_min, contracted.n)
     report = ContractionReport(
         zero_blocks=zero,
         n_points_before=code.num_points,
@@ -503,14 +508,4 @@ def permute_points(code: LinearCode, perm) -> LinearCode:
     perm = [int(j) for j in perm]
     if sorted(perm) != list(range(code.num_points)):
         raise ValueError("perm must be a permutation of the point indices")
-    arr = code.generator.array
-    cols = [j * code.r + i for j in perm for i in range(code.r)]
-    return LinearCode(
-        p=code.p,
-        r=code.r,
-        points=tuple(code.points[j] for j in perm),
-        generator=FMatrix(code.p, arr[:, cols], cols=len(cols)),
-        k=code.k,
-        message_dim=code.message_dim,
-        d_min=code.d_min,
-    )
+    return _take_blocks(code, perm, code.d_min)

@@ -19,13 +19,14 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from . import agcode, depth, hecke
 from .bundle import SplitBundle, parse_bundle
 from .errors import INFEASIBLE, HierdepthError
+from .gf import Field
 from .picard import Lattice, parse_class
 from .agcode import (
     DEFAULT_BUDGET,
@@ -49,16 +50,6 @@ class CliInputError(Exception):
         self.field_name = field_name
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, its options, format and seed."""
-
-    subcommand: str
-    options: dict = dc_field(default_factory=dict)
-    fmt: str = "json"
-    seed: int = DEFAULT_SEED
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliInputError("arguments", message)
@@ -73,6 +64,20 @@ def _int_list(text: str, field_name: str) -> list[int]:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
         raise CliInputError(field_name, f"expected comma-separated integers, got {text!r}")
+
+
+def _int_option(opts, name: str, message: str) -> int:
+    try:
+        return int(opts[name])
+    except (TypeError, ValueError):
+        raise CliInputError(name, message)
+
+
+def _degrees(opts) -> list[int]:
+    degrees = _int_list(opts["degrees"] or "", "degrees")
+    if not degrees:
+        raise CliInputError("degrees", "need at least one degree")
+    return degrees
 
 
 def _point(text: str, field_name: str, space: str, p: int) -> tuple[int, ...]:
@@ -98,13 +103,8 @@ def _cmd_depth(opts, seed):
     if opts.get("curve"):
         if opts.get("bundle") or opts.get("surface"):
             raise CliInputError("curve", "choose either --curve or --surface")
-        degrees = _int_list(opts["degrees"] or "", "degrees")
-        if not degrees:
-            raise CliInputError("degrees", "need at least one degree")
-        try:
-            lam = int(opts["lambda0"])
-        except (TypeError, ValueError):
-            raise CliInputError("lambda0", "expected an integer degree")
+        degrees = _degrees(opts)
+        lam = _int_option(opts, "lambda0", "expected an integer degree")
         value = depth.curve_split_depth(degrees, lam)
         curve = Lattice.curve()
         d = sum(degrees)
@@ -155,10 +155,7 @@ def _cmd_depth(opts, seed):
 
 
 def _cmd_mmp_depth(opts, seed):
-    try:
-        hmin = int(opts["hmin"])
-    except (TypeError, ValueError):
-        raise CliInputError("hmin", "expected an integer")
+    hmin = _int_option(opts, "hmin", "expected an integer")
     if hmin < 0:
         raise CliInputError("hmin", f"must be nonnegative, got {hmin}")
     alpha = _int_list(opts["alpha"] or "", "alpha")
@@ -176,17 +173,9 @@ def _cmd_mmp_depth(opts, seed):
 
 
 def _cmd_filtration(opts, seed):
-    try:
-        p = int(opts["field"])
-    except (TypeError, ValueError):
-        raise CliInputError("field", "expected a prime integer")
-    degrees = _int_list(opts["degrees"] or "", "degrees")
-    if not degrees:
-        raise CliInputError("degrees", "need at least one degree")
-    try:
-        lam = int(opts["lambda0"])
-    except (TypeError, ValueError):
-        raise CliInputError("lambda0", "expected an integer degree")
+    p = _int_option(opts, "field", "expected a prime integer")
+    degrees = _degrees(opts)
+    lam = _int_option(opts, "lambda0", "expected an integer degree")
     base = {
         "subcommand": "filtration",
         "field": p,
@@ -195,6 +184,7 @@ def _cmd_filtration(opts, seed):
         "seed": seed,
     }
     if sum(degrees) - lam < 0:
+        Field(p)  # build_curve_filtration checks it on the other path
         base.update({
             "status": "no-filtration",
             "length": None,
@@ -229,13 +219,8 @@ def _hecke_point(text: str, field_name: str) -> hecke.RationalPoint:
 
 
 def _cmd_hecke_verify(opts, seed):
-    try:
-        p = int(opts["field"])
-    except (TypeError, ValueError):
-        raise CliInputError("field", "expected a prime integer")
-    degrees = _int_list(opts["degrees"] or "", "degrees")
-    if not degrees:
-        raise CliInputError("degrees", "need at least one degree")
+    p = _int_option(opts, "field", "expected a prime integer")
+    degrees = _degrees(opts)
     raw_points = (opts["points"] or "").split(",")
     if len(raw_points) != 2:
         raise CliInputError("points", "expected exactly two points, e.g. 0,1")
@@ -507,13 +492,6 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> dict:
-    """Execute one subcommand and return its report dictionary."""
-    if config.subcommand not in _COMMANDS:
-        raise CliInputError("subcommand", f"unknown subcommand {config.subcommand!r}")
-    return _COMMANDS[config.subcommand](config.options, config.seed)
-
-
 @cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and reused after."""
@@ -580,20 +558,14 @@ def main(argv=None) -> int:
             k: v for k, v in vars(ns).items()
             if k not in ("subcommand", "format", "seed")
         }
-        config = RunConfig(
-            subcommand=ns.subcommand,
-            options=options,
-            fmt=ns.format,
-            seed=ns.seed,
-        )
-        report = run(config)
+        report = _COMMANDS[ns.subcommand](options, ns.seed)
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except HierdepthError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    print(render(report, config.fmt))
+    print(render(report, ns.format))
     return 0
 
 

@@ -213,23 +213,7 @@ def kernel_basis(m: FMatrix) -> FMatrix:
     The result is itself in reduced echelon form, so equal kernels compare
     equal as matrices. Row count is cols - rank(m).
     """
-    p = m.p
-    red = _rref_array(m.array, p)
-    ncols = m.cols
-    pivots = []
-    for row in red:
-        nz = np.flatnonzero(row)
-        pivots.append(int(nz[0]))
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:
-        return FMatrix.zeros(p, 0, ncols)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[i, f])) % p
-    return FMatrix(p, _rref_array(basis, p), cols=ncols)
+    return subspace_kernel(FMatrix.identity(m.p, m.cols), m.array)
 
 
 def subspace_kernel(basis: FMatrix, functional_rows: np.ndarray) -> FMatrix:

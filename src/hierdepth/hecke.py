@@ -122,7 +122,7 @@ class SubsheafModel:
 
     @property
     def block_widths(self) -> tuple[int, ...]:
-        return tuple(max(d + self.twist + 1, 0) for d in self.degrees)
+        return _widths(self.degrees, self.twist)
 
     @property
     def block_offsets(self) -> tuple[int, ...]:
@@ -133,9 +133,10 @@ class SubsheafModel:
             total += w
         return tuple(offsets)
 
-    @property
-    def total_width(self) -> int:
-        return sum(self.block_widths)
+
+def _widths(degrees, twist: int) -> tuple[int, ...]:
+    """Block widths of the summands twisted by twist: d + twist + 1, or 0."""
+    return tuple(max(d + twist + 1, 0) for d in degrees)
 
 
 def _model(degrees, twist, cap, p, basis, det_degree) -> SubsheafModel:
@@ -179,7 +180,7 @@ def full_sections(degrees, cap: int, p: int) -> SubsheafModel:
         raise BadTruncation(
             f"cap {cap} below max degree {max(0, max(degrees))}"
         )
-    width = sum(max(d + 1, 0) for d in degrees)
+    width = sum(_widths(degrees, 0))
     _check_width(width)
     basis = FMatrix.identity(p, width)
     return _model(degrees, 0, cap, p, basis, sum(degrees))
@@ -265,6 +266,13 @@ class CommuteReport:
     joint: FMatrix
 
 
+def _same_point(a: RationalPoint, b: RationalPoint, p: int) -> bool:
+    """Whether two points are the same point of the line over F_p."""
+    if a.is_infinity or b.is_infinity:
+        return a.is_infinity and b.is_infinity
+    return (a.coord - b.coord) % p == 0
+
+
 def _joint_kernel(m: SubsheafModel, f1, f2) -> FMatrix:
     rows = np.stack([_functional_row(m, f1), _functional_row(m, f2)])
     return gf.subspace_kernel(m.basis, rows)
@@ -292,10 +300,11 @@ def commute_check(m: SubsheafModel, f1: PointFunctional,
     """Both transform orders against the joint kernel, for distinct points.
 
     With disjoint supports all three canonical bases coincide; the report
-    records the dimensions and the comparison. Equal points are refused,
-    and a vacuous second step propagates as VacuousTransform.
+    records the dimensions and the comparison. Equal points, coordinates
+    compared mod p, are refused, and a vacuous second step propagates as
+    VacuousTransform.
     """
-    if f1.point == f2.point:
+    if _same_point(f1.point, f2.point, m.p):
         raise OverlappingSupport(
             "transform points coincide; use probe_overlap"
         )
@@ -309,7 +318,7 @@ def probe_overlap(m: SubsheafModel, f1: PointFunctional,
     The report simply states whether the routes happen to agree for these
     covectors. Distinct points belong to commute_check instead.
     """
-    if f1.point != f2.point:
+    if not _same_point(f1.point, f2.point, m.p):
         raise ValueError("points differ; use commute_check")
     return _three_routes(m, f1, f2)
 
@@ -319,7 +328,7 @@ def _choose_twist(degrees, steps: int) -> int:
     # start there unless no step is needed; from there it takes at most
     # steps turns, since the widest block grows by one per turn.
     twist = max(0, -1 - max(degrees)) if steps else 0
-    while sum(max(d + twist + 1, 0) for d in degrees) < steps:
+    while sum(_widths(degrees, twist)) < steps:
         twist += 1
     return twist
 
@@ -354,7 +363,7 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     _check_width(steps)
     twist = _choose_twist(degrees, steps)
     cap = sum(abs(d) for d in degrees) + steps + 1
-    width = sum(max(d + twist + 1, 0) for d in degrees)
+    width = sum(_widths(degrees, twist))
     _check_width(width)
     start = _model(
         degrees, twist, cap, p, FMatrix.identity(p, width), sum(degrees)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -14,9 +15,9 @@ import pytest
 from hierdepth import cli
 from hierdepth.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report-schemas.json")
-    .read_text(encoding="utf-8")
+    (ROOT / "docs" / "report-schemas.json").read_text(encoding="utf-8")
 )["subcommands"]
 
 
@@ -146,6 +147,16 @@ class TestFiltrationCommand:
         assert rep["points"] == ["0", "1", "2", "inf"]
         assert rep["dims"] == [7, 6, 5, 4, 3]
 
+    @pytest.mark.parametrize("field", ["4", "1"])
+    def test_overdrawn_budget_still_needs_a_prime(self, field):
+        for lambda0 in ("5", "0"):
+            rc, out, err = run(
+                ["filtration", "--field", field, "--degrees", "1", "--lambda0", lambda0]
+            )
+            assert rc == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: NotPrime:"), err
+
     def test_too_small_field_is_a_domain_error(self):
         rc, _, err = run(["filtration", "--field", "2", "--degrees", "2", "--lambda0", "-2"])
         assert rc == 2
@@ -195,11 +206,16 @@ class TestHeckeVerifyCommand:
         assert rep["covectors"] == [[1, 0], [1, 0]]
 
     def test_equal_points_are_a_domain_error(self):
-        rc, _, err = run(
-            ["hecke-verify", "--field", "5", "--degrees", "1,1", "--points", "3,3"]
-        )
-        assert rc == 2
-        assert "OverlappingSupport" in err
+        for argv in (
+            ["hecke-verify", "--field", "5", "--degrees", "1,1", "--points", "3,3"],
+            # 7 is the point 2 over F_5
+            ["hecke-verify", "--field", "5", "--degrees", "2,2", "--points", "2,7",
+             "--covectors", "1,0;0,1"],
+        ):
+            rc, out, err = run(argv)
+            assert rc == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: OverlappingSupport:"), err
 
     def test_oversized_section_space_is_refused(self):
         rc, _, err = run(
@@ -401,10 +417,12 @@ class TestOutputDiscipline:
         assert "value: 3" in out
 
     def test_module_entry_point(self):
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run(
             [sys.executable, "-m", "hierdepth.cli",
              "depth", "--curve", "--degrees", "3,1,0", "--lambda0", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 4

@@ -227,6 +227,26 @@ def rref_rowwise(a, p):
     return a[:r]
 
 
+def kernel_reference(rows, ncols, p):
+    """Right kernel from the free columns of the echelon form, in Python ints.
+
+    Each free column f gives the vector with a 1 at f and -red[i][f] at the
+    pivot column of row i; the result is re-eliminated into echelon form.
+    """
+    red = rref_rowwise(rows, p)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] % p
+        basis.append(v)
+    return rref_rowwise(basis, p)
+
+
 def subspace_kernel_reference(basis, functionals):
     """Kernel in coefficient space, mapped back and re-eliminated."""
     p = basis.p
@@ -235,7 +255,7 @@ def subspace_kernel_reference(basis, functionals):
         return basis
     vals = [[sum(x * int(y) for x, y in zip(row, f)) % p for row in rows]
             for f in functionals]
-    coeffs = kernel_basis(FMatrix(p, vals, cols=len(rows))).tolist()
+    coeffs = kernel_reference(vals, len(rows), p)
     combos = [
         [sum(c * row[j] for c, row in zip(cs, rows)) % p for j in range(basis.cols)]
         for cs in coeffs
@@ -256,6 +276,38 @@ def test_rref_matches_rowwise_elimination(p, r, c, rnd):
     data = [[rnd.randrange(p) for _ in range(c)] for _ in range(r)]
     m = FMatrix(p, data, cols=c)
     assert rref(m).tolist() == rref_rowwise(data, p)
+
+
+@given(
+    st.sampled_from(MATRIX_FIELDS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(["sparse", "zero", "full"]),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_basis_matches_free_column_kernel(p, r, c, shape, rnd):
+    if shape == "zero":
+        data = [[0] * c for _ in range(r)]
+    elif shape == "full":
+        # unit rows at distinct columns, mixed by row additions: rank min(r, c)
+        data = [[0] * c for _ in range(r)]
+        for i, j in enumerate(rnd.sample(range(c), min(r, c))):
+            data[i][j] = 1
+        for _ in range(2 * r):
+            i, j = rnd.randrange(r), rnd.randrange(r)
+            if i != j:
+                a = rnd.randrange(p)
+                data[i] = [(x + a * y) % p for x, y in zip(data[i], data[j])]
+    else:
+        data = [[rnd.randrange(p) if rnd.random() < 0.5 else 0 for _ in range(c)]
+                for _ in range(r)]
+    got = kernel_basis(FMatrix(p, data, cols=c))
+    assert got.tolist() == kernel_reference(data, c, p)
+    assert got.rows == c - len(rref_rowwise(data, p))
+    if shape == "zero":
+        assert got == FMatrix.identity(p, c)
+    elif shape == "full":
+        assert got.rows == c - min(r, c)
 
 
 @given(

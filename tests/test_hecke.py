@@ -178,9 +178,10 @@ def test_commute_example_rank_two():
 def test_commute_refuses_equal_points():
     m = full_sections([1, 1], 1, 5)
     phi = PointFunctional(RationalPoint.affine(2), (1, 0))
-    psi = PointFunctional(RationalPoint.affine(2), (0, 1))
-    with pytest.raises(OverlappingSupport):
-        commute_check(m, phi, psi)
+    for q in (2, 7):  # 7 is the point 2 over F_5
+        psi = PointFunctional(RationalPoint.affine(q), (0, 1))
+        with pytest.raises(OverlappingSupport):
+            commute_check(m, phi, psi)
 
 
 def test_commute_propagates_vacuous_steps():
@@ -268,13 +269,14 @@ def test_transform_order_irrelevant_for_four_points():
 def test_probe_overlap_independent_directions_agree():
     m = full_sections([0, 0], 0, 5)
     q = RationalPoint.affine(0)
-    rep = probe_overlap(
-        m,
-        PointFunctional(q, (1, 0)),
-        PointFunctional(q, (0, 1)),
-    )
-    assert rep.equal
-    assert (rep.dim_v12, rep.dim_v21, rep.dim_joint) == (0, 0, 0)
+    for q2 in (q, RationalPoint.affine(5)):  # 5 is the point 0 over F_5
+        rep = probe_overlap(
+            m,
+            PointFunctional(q, (1, 0)),
+            PointFunctional(q2, (0, 1)),
+        )
+        assert rep.equal
+        assert (rep.dim_v12, rep.dim_v21, rep.dim_joint) == (0, 0, 0)
 
 
 def test_probe_overlap_same_covector_is_vacuous():
@@ -287,12 +289,13 @@ def test_probe_overlap_same_covector_is_vacuous():
 
 def test_probe_overlap_rejects_distinct_points():
     m = full_sections([0, 0], 0, 5)
-    with pytest.raises(ValueError):
-        probe_overlap(
-            m,
-            PointFunctional(RationalPoint.affine(0), (1, 0)),
-            PointFunctional(RationalPoint.affine(1), (0, 1)),
-        )
+    for q in (RationalPoint.affine(1), INFINITY):
+        with pytest.raises(ValueError):
+            probe_overlap(
+                m,
+                PointFunctional(RationalPoint.affine(0), (1, 0)),
+                PointFunctional(q, (0, 1)),
+            )
 
 
 class TestBuildChain:
