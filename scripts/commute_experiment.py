@@ -31,7 +31,7 @@ def run_trials(p, trials, rng):
             if not any(c):
                 c[rng.randrange(rank)] = 1
             covs.append(tuple(c))
-        model = full_sections(degrees, max(degrees), p)
+        model = full_sections(degrees, p)
         try:
             rep = commute_check(
                 model,

@@ -9,7 +9,6 @@ command line (cli).
 """
 
 from .errors import (
-    BadTruncation,
     DistanceUnknown,
     DuplicatePoint,
     EmptyCode,

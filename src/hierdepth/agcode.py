@@ -128,6 +128,9 @@ def _condition_rows(degree, space, cond: VanishingCondition, p):
     of the dehomogenized form at the remaining affine coordinates. In
     small characteristic the binomial factors implement divided powers,
     so order-o vanishing is characterized correctly even when o exceeds p.
+    Orders above the degree add nothing, since every Hasse derivative of
+    total order above d vanishes on degree-d forms; the order is clamped
+    at d + 1.
     """
     nvars = SPACES[space]
     pt = normalize_point(cond.point, p)
@@ -136,7 +139,8 @@ def _condition_rows(degree, space, cond: VanishingCondition, p):
     coords = [pt[v] for v in affine_vars]
     monos = monomial_exponents(degree, nvars)
     rows = []
-    for multi in _derivative_multi_indices(len(affine_vars), cond.order):
+    order = min(cond.order, degree + 1)
+    for multi in _derivative_multi_indices(len(affine_vars), order):
         row = []
         for expo in monos:
             f = [expo[v] for v in affine_vars]

@@ -60,8 +60,11 @@ def _frac(x: Fraction) -> str:
 
 
 def _int_list(text: str, field_name: str) -> list[int]:
+    """Comma-separated integers; only a wholly empty value is the empty list."""
+    if not text.strip():
+        return []
     try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
+        return [int(t) for t in text.split(",")]
     except ValueError:
         raise CliInputError(field_name, f"expected comma-separated integers, got {text!r}")
 
@@ -225,7 +228,7 @@ def _cmd_hecke_verify(opts, seed):
     if len(raw_points) != 2:
         raise CliInputError("points", "expected exactly two points, e.g. 0,1")
     pts = [_hecke_point(t, "points") for t in raw_points]
-    model = hecke.full_sections(degrees, max(0, max(degrees)), p)
+    model = hecke.full_sections(degrees, p)
     if opts.get("covectors"):
         parts = opts["covectors"].split(";")
         if len(parts) != 2:
@@ -234,13 +237,12 @@ def _cmd_hecke_verify(opts, seed):
         for cov in covs:
             if len(cov) != len(degrees):
                 raise CliInputError("covectors", "covector length must match rank")
-        try:
-            functionals = [
-                hecke.PointFunctional(pt, tuple(cov))
-                for pt, cov in zip(pts, covs)
-            ]
-        except ValueError as e:
-            raise CliInputError("covectors", str(e))
+        # full_sections has checked p, so a covector zero mod p is malformed
+        if not all(any(c % p for c in cov) for cov in covs):
+            raise CliInputError("covectors", "covector must be nonzero")
+        functionals = [
+            hecke.PointFunctional(pt, tuple(cov)) for pt, cov in zip(pts, covs)
+        ]
     else:
         functionals = [hecke.first_usable_covector(model, pt) for pt in pts]
     report = hecke.commute_check(model, functionals[0], functionals[1])

@@ -52,10 +52,6 @@ class NotEffective(HierdepthError):
     """A divisor class required to be effective is not."""
 
 
-class BadTruncation(HierdepthError):
-    """Section-space truncation too small for the requested degrees."""
-
-
 class WidthTooLarge(HierdepthError):
     """Section space wider than the supported maximum for transform chains."""
 

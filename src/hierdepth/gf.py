@@ -216,18 +216,36 @@ def kernel_basis(m: FMatrix) -> FMatrix:
     return subspace_kernel(FMatrix.identity(m.p, m.cols), m.array)
 
 
+def cut(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Cut one functional out of the row space of an echelon array a.
+
+    v holds the functional's values on a's rows. The last row r with
+    v_r != 0 is subtracted, scaled by v_i / v_r, from every row i with
+    v_i != 0, and then dropped; a is returned unchanged when v is zero.
+    When a is in reduced echelon form, row r is zero in every other pivot
+    column and its pivot lies right of theirs, so the result is again the
+    canonical reduced echelon form and needs no re-elimination.
+    """
+    rows = np.flatnonzero(v)
+    if rows.size == 0:
+        return a
+    r = int(rows[-1])
+    rows = rows[:-1]
+    pivot_row = a[r]
+    # rows affected all lie above r, so deleting r keeps their indices
+    a = np.delete(a, r, axis=0)
+    inv = pow(int(v[r]), p - 2, p)
+    c = int(np.flatnonzero(pivot_row)[0])
+    _eliminate(a, rows, pivot_row, (v[rows] * inv) % p, c, p)
+    return a
+
+
 def subspace_kernel(basis: FMatrix, functional_rows: np.ndarray) -> FMatrix:
     """Canonical basis of {v in rowspace(basis) : F v^T = 0}.
 
     functional_rows holds one functional per row in ambient coordinates.
-
-    Each functional f costs one pivot step on the echelon basis B: with
-    the values v = B f, the last row r with v_r != 0 is subtracted, scaled
-    by v_i / v_r, from every row i with v_i != 0, and then dropped. When
-    B is in reduced echelon form, as every transform result is, row r is
-    zero in every other pivot column and its pivot lies right of theirs,
-    so the result is again the canonical reduced echelon form and needs
-    no re-elimination. A basis not in that form is reduced once first.
+    Each functional f costs one cut with the values B f on the echelon
+    basis B. A basis not in reduced echelon form is reduced once first.
     """
     p = basis.p
     a = basis.array
@@ -236,16 +254,5 @@ def subspace_kernel(basis: FMatrix, functional_rows: np.ndarray) -> FMatrix:
     if not _is_rref(a):
         a = _rref_array(a, p)
     for f in np.asarray(functional_rows, dtype=np.int64) % p:
-        v = dot_mod(a, f, p)
-        rows = np.flatnonzero(v)
-        if rows.size == 0:
-            continue
-        r = int(rows[-1])
-        rows = rows[:-1]
-        pivot_row = a[r]
-        # rows affected all lie above r, so deleting r keeps their indices
-        a = np.delete(a, r, axis=0)
-        inv = pow(int(v[r]), p - 2, p)
-        c = int(np.flatnonzero(pivot_row)[0])
-        _eliminate(a, rows, pivot_row, (v[rows] * inv) % p, c, p)
+        a = cut(a, dot_mod(a, f, p), p)
     return FMatrix(p, a, cols=basis.cols)

@@ -17,19 +17,19 @@ When the plain section space is too thin to carry all requested steps
 (negative degrees contribute nothing), the filtration builder shifts every
 summand by a uniform twist. Transform kernels commute with twisting, and
 depth is invariant under it, so the ledger still tracks the untwisted
-determinant degree. The stored truncation cap bounds the twisted degrees.
+determinant degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import gf
 from .depth import HierFiltration
 from .errors import (
-    BadTruncation,
     NegativeM,
     NotEnoughPoints,
     OverlappingSupport,
@@ -100,14 +100,15 @@ class SubsheafModel:
     """Subspace model of a subsheaf of a split bundle on the line.
 
     degrees holds the untwisted summand degrees; twist is the uniform
-    shift applied to every block in the stored coordinates; cap bounds
-    the shifted degrees; det_degree ledgers the untwisted determinant
-    degree, dropping by one per transform.
+    shift applied to every block in the stored coordinates; det_degree
+    ledgers the untwisted determinant degree, dropping by one per
+    transform. The basis is in reduced echelon form: the constructors
+    start from an identity, and each transform keeps the form, so no step
+    re-checks it.
     """
 
     degrees: tuple[int, ...]
     twist: int
-    cap: int
     p: int
     basis: FMatrix
     det_degree: int
@@ -124,30 +125,10 @@ class SubsheafModel:
     def block_widths(self) -> tuple[int, ...]:
         return _widths(self.degrees, self.twist)
 
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        offsets = []
-        total = 0
-        for w in self.block_widths:
-            offsets.append(total)
-            total += w
-        return tuple(offsets)
-
 
 def _widths(degrees, twist: int) -> tuple[int, ...]:
     """Block widths of the summands twisted by twist: d + twist + 1, or 0."""
     return tuple(max(d + twist + 1, 0) for d in degrees)
-
-
-def _model(degrees, twist, cap, p, basis, det_degree) -> SubsheafModel:
-    return SubsheafModel(
-        degrees=tuple(int(d) for d in degrees),
-        twist=int(twist),
-        cap=int(cap),
-        p=int(p),
-        basis=basis,
-        det_degree=int(det_degree),
-    )
 
 
 # Widest section space a model may have. A full chain of transforms at this
@@ -164,26 +145,21 @@ def _check_width(width: int) -> None:
         )
 
 
-def full_sections(degrees, cap: int, p: int) -> SubsheafModel:
+def full_sections(degrees, p: int) -> SubsheafModel:
     """Model holding every section of O(d_1) + ... + O(d_r).
 
     The dimension is the sum of d_i + 1 over nonnegative degrees; summands
-    of negative degree contribute zero-width blocks. The cap must be at
-    least max(0, max(d_i)). Raises WidthTooLarge when the dimension
-    exceeds MAX_WIDTH.
+    of negative degree contribute zero-width blocks. Raises WidthTooLarge
+    when the dimension exceeds MAX_WIDTH.
     """
-    Field(p)
+    p = Field(p).p
     degrees = tuple(int(d) for d in degrees)
     if not degrees:
         raise ValueError("need at least one summand degree")
-    if cap < max(0, max(degrees)):
-        raise BadTruncation(
-            f"cap {cap} below max degree {max(0, max(degrees))}"
-        )
     width = sum(_widths(degrees, 0))
     _check_width(width)
     basis = FMatrix.identity(p, width)
-    return _model(degrees, 0, cap, p, basis, sum(degrees))
+    return SubsheafModel(degrees, 0, p, basis, sum(degrees))
 
 
 def _block_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
@@ -201,7 +177,7 @@ def _block_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
         for k in range(powers.size):
             powers[k] = val
             val = (val * q) % m.p
-    for i, (w, off) in enumerate(zip(widths, m.block_offsets)):
+    for i, (w, off) in enumerate(zip(widths, accumulate(widths, initial=0))):
         if w == 0:
             continue
         if point.is_infinity:
@@ -227,13 +203,14 @@ def apply_transform(m: SubsheafModel, phi: PointFunctional) -> SubsheafModel:
     one. Raises VacuousTransform when the functional vanishes on the
     whole subspace, which is exactly when the kernel keeps every row.
     """
-    row = _functional_row(m, phi)
-    new_basis = gf.subspace_kernel(m.basis, row.reshape(1, -1))
-    if new_basis.rows == m.dim:
+    a = m.basis.array
+    v = gf.dot_mod(a, _functional_row(m, phi), m.p)
+    if not v.any():
         raise VacuousTransform(
             f"functional at {phi.point.label()} vanishes on the subspace"
         )
-    return _model(m.degrees, m.twist, m.cap, m.p, new_basis, m.det_degree - 1)
+    basis = FMatrix(m.p, gf.cut(a, v, m.p), cols=m.basis.cols)
+    return SubsheafModel(m.degrees, m.twist, m.p, basis, m.det_degree - 1)
 
 
 def first_usable_covector(m: SubsheafModel,
@@ -346,7 +323,7 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     M exceeds the p + 1 rational points, and WidthTooLarge when the
     twisted section space is wider than MAX_WIDTH.
     """
-    Field(p)
+    p = Field(p).p
     degrees = tuple(int(d) for d in degrees)
     if not degrees:
         raise ValueError("need at least one summand degree")
@@ -362,11 +339,10 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     # _choose_twist from searching up to a huge twist
     _check_width(steps)
     twist = _choose_twist(degrees, steps)
-    cap = sum(abs(d) for d in degrees) + steps + 1
     width = sum(_widths(degrees, twist))
     _check_width(width)
-    start = _model(
-        degrees, twist, cap, p, FMatrix.identity(p, width), sum(degrees)
+    start = SubsheafModel(
+        degrees, twist, p, FMatrix.identity(p, width), sum(degrees)
     )
     chain = [start]
     current = start

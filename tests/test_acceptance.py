@@ -100,7 +100,7 @@ def test_criterion_2_transform_commutation():
                     if not any(c):
                         c[rng.randrange(rank)] = 1
                     covs.append(tuple(c))
-                model = full_sections(degrees, max(degrees), p)
+                model = full_sections(degrees, p)
                 try:
                     rep = commute_check(
                         model,
@@ -118,7 +118,7 @@ def test_criterion_2_transform_commutation():
         while done < 50:
             rank = rng.randint(1, 4)
             degrees = [rng.randint(0, 4) for _ in range(rank)]
-            model = full_sections(degrees, max(degrees), 7)
+            model = full_sections(degrees, 7)
             chosen = rng.sample(pts7, 4)
             fns = []
             for q in chosen:

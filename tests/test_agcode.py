@@ -159,6 +159,31 @@ class TestVanishingSpaces:
                 low = low_order_coeffs(row, b.monomials, pt, p, order)
                 assert all(v == 0 for v in low.values())
 
+    @given(
+        st.sampled_from([2, 5, 2**31 - 1]),
+        st.sampled_from(["P1", "P2"]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_orders_above_the_degree_add_nothing(self, p, space, degree, k, rnd):
+        # Taylor coefficients of total order at most d determine a degree-d
+        # form, independently in every characteristic: one point imposes
+        # C(o - 1 + n, n) conditions for o <= d + 1, where only zero is
+        # left, and no more past it.
+        n = agcode.SPACES[space] - 1
+        chart = rnd.randrange(n + 1)  # a normalized point in every chart
+        pt = (0,) * chart + (1,) + tuple(rnd.randrange(p) for _ in range(n - chart))
+
+        def basis(order):
+            return vanishing_basis(degree, [VanishingCondition(pt, order)], space, p)
+
+        full = math.comb(degree + n, n)
+        for order in range(1, degree + 2 + k):
+            used = math.comb(min(order, degree + 1) - 1 + n, n)
+            assert basis(order).dim == full - used
+        assert basis(degree + 1 + k).basis == basis(degree + 1).basis
+
     def test_dimension_matches_rank_oracle(self):
         b = vanishing_basis(2, [VanishingCondition((1, 1, 1))], "P2", 5)
         assert b.dim == oracle_rank(b.basis.tolist(), 5) == 5

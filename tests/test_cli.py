@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -119,6 +120,10 @@ class TestMmpDepthCommand:
         rc, _, err = run(["mmp-depth", "--hmin", "1", "--alpha", "2", "--beta", "0,0"])
         assert rc == 2
         assert "ShapeMismatch" in err
+
+    def test_no_blowups(self):
+        rep = report_of(["mmp-depth", "--hmin", "3", "--alpha", "", "--beta", ""])
+        assert (rep["alpha"], rep["beta"], rep["value"]) == ([], [], 3)
 
 
 class TestFiltrationCommand:
@@ -325,6 +330,25 @@ class TestMalformedInput:
                 "covectors",
             ),
             (["mmp-depth", "--hmin", "-1", "--alpha", "1", "--beta", "0"], "hmin"),
+            (["filtration", "--field", "5", "--degrees", "3,,1", "--lambda0", "0"], "degrees"),
+            (["filtration", "--field", "5", "--degrees", "3,1,", "--lambda0", "0"], "degrees"),
+            (["mmp-depth", "--hmin", "1", "--alpha", "1,,2", "--beta", "0,0"], "alpha"),
+            (
+                ["hecke-verify", "--field", "5", "--degrees", "1,1",
+                 "--points", "0,1", "--covectors", "1,0,;0,1"],
+                "covectors",
+            ),
+            # zero covectors, spelled as 0 and as p
+            (
+                ["hecke-verify", "--field", "5", "--degrees", "1,1",
+                 "--points", "0,1", "--covectors", "0,0;0,1"],
+                "covectors",
+            ),
+            (
+                ["hecke-verify", "--field", "5", "--degrees", "1,1",
+                 "--points", "0,1", "--covectors", "5,0;0,1"],
+                "covectors",
+            ),
         ],
     )
     def test_exit_one_and_field_named(self, argv, field):
@@ -366,11 +390,33 @@ class TestMalformedInput:
         rc, _, err = run(["code-build", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 1 and "config" in err
 
+    def test_order_above_the_degree_answers_at_once(self, tmp_path):
+        # 4.5 million derivative functionals unless the order is clamped
+        cfg = write_config(
+            tmp_path, "p = 5\nspace = P2\nsummand = 2; 1:0:0@3000\npoints = 1:1:1\n"
+        )
+        start = time.perf_counter()
+        rc, out, err = run(["code-analyze", "--config", cfg])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert err.startswith("error: EmptyMessageSpace:"), err
+
     def test_non_prime_field_is_a_domain_error(self, tmp_path):
         cfg = write_config(tmp_path, "p = 9\nspace = P1\nsummand = 1\npoints = 1:0\n")
         rc, _, err = run(["code-build", "--config", cfg])
         assert rc == 2
         assert "NotPrime" in err
+
+
+def test_readme_cli_examples_answer(tmp_path, monkeypatch):
+    blocks = (ROOT / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    i = next(i for i, b in enumerate(blocks) if b.lstrip().startswith("hierdepth "))
+    write_config(tmp_path, blocks[i + 1])  # the config block that follows
+    monkeypatch.chdir(tmp_path)
+    for line in blocks[i].strip().splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "hierdepth", line
+        report_of(argv[1:])
 
 
 class TestOutputDiscipline:

@@ -5,12 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_gf import rref_rowwise
 
 from hierdepth import gf
 from hierdepth.depth import curve_split_depth, verify_filtration
 from hierdepth.bundle import SplitBundle
 from hierdepth.errors import (
-    BadTruncation,
     NegativeM,
     NotEnoughPoints,
     OverlappingSupport,
@@ -90,30 +92,24 @@ def test_enumerate_points_order():
 
 
 def test_first_usable_covector_skips_empty_summands():
-    m = full_sections([-1, 2], 2, 5)
+    m = full_sections([-1, 2], 5)
     assert first_usable_covector(m, INFINITY).covector == (0, 1)
     with pytest.raises(VacuousTransform):
-        first_usable_covector(full_sections([-1, -1], 0, 5), INFINITY)
+        first_usable_covector(full_sections([-1, -1], 5), INFINITY)
 
 
 def test_full_sections_dimensions():
-    assert full_sections([3, 1, 0], 4, 5).dim == 7
-    assert full_sections([-1], 0, 5).dim == 0
-    assert full_sections([2, -3], 2, 7).dim == 3
+    assert full_sections([3, 1, 0], 5).dim == 7
+    assert full_sections([-1], 5).dim == 0
+    assert full_sections([2, -3], 7).dim == 3
 
 
 def test_full_sections_width_cap():
-    assert full_sections([MAX_WIDTH - 1], MAX_WIDTH, 5).dim == MAX_WIDTH
+    assert full_sections([MAX_WIDTH - 1], 5).dim == MAX_WIDTH
     with pytest.raises(WidthTooLarge):
-        full_sections([MAX_WIDTH], MAX_WIDTH, 5)
+        full_sections([MAX_WIDTH], 5)
     with pytest.raises(WidthTooLarge):
-        full_sections([10**9], 10**9, 5)
-
-
-def test_full_sections_checks_cap():
-    with pytest.raises(BadTruncation):
-        full_sections([3, 1], 2, 5)
-    full_sections([-2, -1], 0, 5)  # cap 0 is enough with no sections
+        full_sections([10**9], 5)
 
 
 def test_covector_must_be_nonzero():
@@ -122,7 +118,7 @@ def test_covector_must_be_nonzero():
 
 
 def test_transform_drops_dimension_and_ledger():
-    m = full_sections([2], 2, 5)
+    m = full_sections([2], 5)
     phi = PointFunctional(RationalPoint.affine(0), (1,))
     out = apply_transform(m, phi)
     assert out.dim == m.dim - 1
@@ -133,7 +129,7 @@ def test_transform_drops_dimension_and_ledger():
 
 
 def test_transform_at_infinity_reads_top_coefficient():
-    m = full_sections([1], 1, 5)
+    m = full_sections([1], 5)
     out = apply_transform(m, PointFunctional(INFINITY, (1,)))
     # degree-1 coefficient dies, constants survive
     assert out.basis.tolist() == [[1, 0]]
@@ -143,7 +139,7 @@ def test_chained_transforms_exact_near_2_31():
     # Inner products here reach 63 * (p - 1)**2, far past int64.
     p = 2**31 - 1
     rng = random.Random(31)
-    m = full_sections([20, 20, 20], 20, p)
+    m = full_sections([20, 20, 20], p)
     for q in rng.sample(range(p), 50):
         cov = tuple(rng.randrange(1, p) for _ in range(3))
         phi = PointFunctional(RationalPoint.affine(q), cov)
@@ -156,7 +152,7 @@ def test_chained_transforms_exact_near_2_31():
 
 
 def test_vacuous_transform_refused():
-    m = full_sections([0], 0, 5)
+    m = full_sections([0], 5)
     first = apply_transform(m, PointFunctional(RationalPoint.affine(0), (1,)))
     assert first.dim == 0
     with pytest.raises(VacuousTransform):
@@ -164,7 +160,7 @@ def test_vacuous_transform_refused():
 
 
 def test_commute_example_rank_two():
-    m = full_sections([0, 0], 0, 5)
+    m = full_sections([0, 0], 5)
     rep = commute_check(
         m,
         PointFunctional(RationalPoint.affine(0), (1, 0)),
@@ -176,7 +172,7 @@ def test_commute_example_rank_two():
 
 
 def test_commute_refuses_equal_points():
-    m = full_sections([1, 1], 1, 5)
+    m = full_sections([1, 1], 5)
     phi = PointFunctional(RationalPoint.affine(2), (1, 0))
     for q in (2, 7):  # 7 is the point 2 over F_5
         psi = PointFunctional(RationalPoint.affine(q), (0, 1))
@@ -185,7 +181,7 @@ def test_commute_refuses_equal_points():
 
 
 def test_commute_propagates_vacuous_steps():
-    m = full_sections([0], 0, 5)
+    m = full_sections([0], 5)
     with pytest.raises(VacuousTransform):
         commute_check(
             m,
@@ -204,7 +200,7 @@ def _random_instance(rng, p):
         if not any(cov):
             cov[rng.randrange(r)] = 1
         covs.append(tuple(cov))
-    m = full_sections(degrees, max(degrees), p)
+    m = full_sections(degrees, p)
     f1 = PointFunctional(RationalPoint.affine(pts[0]), covs[0])
     f2 = PointFunctional(RationalPoint.affine(pts[1]), covs[1])
     return m, f1, f2
@@ -240,7 +236,7 @@ def test_transform_order_irrelevant_for_four_points():
     done = 0
     while done < 20:
         degrees = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
-        m = full_sections(degrees, max(degrees), 7)
+        m = full_sections(degrees, 7)
         if m.dim < 5:
             continue
         pts = rng.sample(range(7), 4)
@@ -267,7 +263,7 @@ def test_transform_order_irrelevant_for_four_points():
 
 
 def test_probe_overlap_independent_directions_agree():
-    m = full_sections([0, 0], 0, 5)
+    m = full_sections([0, 0], 5)
     q = RationalPoint.affine(0)
     for q2 in (q, RationalPoint.affine(5)):  # 5 is the point 0 over F_5
         rep = probe_overlap(
@@ -280,7 +276,7 @@ def test_probe_overlap_independent_directions_agree():
 
 
 def test_probe_overlap_same_covector_is_vacuous():
-    m = full_sections([0, 0], 0, 5)
+    m = full_sections([0, 0], 5)
     q = RationalPoint.affine(0)
     phi = PointFunctional(q, (1, 0))
     with pytest.raises(VacuousTransform):
@@ -288,7 +284,7 @@ def test_probe_overlap_same_covector_is_vacuous():
 
 
 def test_probe_overlap_rejects_distinct_points():
-    m = full_sections([0, 0], 0, 5)
+    m = full_sections([0, 0], 5)
     for q in (RationalPoint.affine(1), INFINITY):
         with pytest.raises(ValueError):
             probe_overlap(
@@ -348,10 +344,17 @@ class TestBuildChain:
 
         monkeypatch.setattr(gf, "kernel_basis", refuse)
         monkeypatch.setattr(gf, "_rref_array", refuse)
-        filt, chain = build_curve_filtration([3, 1, 0], 0, 5)
-        assert [m.dim for m in chain] == [7, 6, 5, 4, 3]
-        assert build_curve_filtration([0, -3], -5, 5)[0].length == 2
-        m = full_sections([2, 2], 2, 7)
+        m = full_sections([2, 2], 7)
+        with monkeypatch.context() as step:
+            # a transform is one evaluation and one cut: no kernel routine
+            # and no echelon re-check
+            step.setattr(gf, "subspace_kernel", refuse)
+            step.setattr(gf, "_is_rref", refuse)
+            filt, chain = build_curve_filtration([3, 1, 0], 0, 5)
+            assert [m.dim for m in chain] == [7, 6, 5, 4, 3]
+            assert build_curve_filtration([0, -3], -5, 5)[0].length == 2
+            out = apply_transform(m, first_usable_covector(m, INFINITY))
+            assert out.dim == m.dim - 1
         rep = commute_check(
             m,
             first_usable_covector(m, point_at(0, 7)),
@@ -386,3 +389,46 @@ class TestBuildChain:
             assert dims == list(range(dims[0], dims[0] - m - 1, -1))
             dets = [model.det_degree for model in chain]
             assert dets == list(range(sum(degrees), lam - 1, -1))
+
+
+def poly_times_linear(poly, q, p):
+    """Coefficients, lowest first, of poly * (x - q) mod p, in Python ints."""
+    out = [0] + poly
+    for k, c in enumerate(poly):
+        out[k] = (out[k] - q * c) % p
+    return out
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 101, 65537, 2**31 - 1]),
+    st.lists(st.integers(min_value=-4, max_value=12), min_size=1, max_size=4),
+    st.data(),
+)
+def test_chain_follows_the_block_capacity_rule(p, degrees, data):
+    # Transforms at distinct points with standard covectors act block by
+    # block, so they commute: step j uses e_i for the first block i that has
+    # had fewer than w_i earlier points, and the final subspace is the sum of
+    # the per-block kernels, each spanned by x^k * prod(x - q) over the
+    # block's affine points, with the degree bound one lower after infinity.
+    steps = data.draw(st.integers(min_value=0, max_value=min(60, p + 1)))
+    _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
+    widths = [max(d + chain[0].twist + 1, 0) for d in degrees]
+    points = [[] for _ in degrees]
+    for j in range(steps):
+        i = next(i for i, w in enumerate(widths) if len(points[i]) < w)
+        cov = first_usable_covector(chain[j], point_at(j, p)).covector
+        assert cov == tuple(int(k == i) for k in range(len(degrees)))
+        points[i].append(j)
+    rows = []
+    offset = 0
+    for w, pts in zip(widths, points):
+        vanishing = [1]
+        for q in pts:
+            if q < p:
+                vanishing = poly_times_linear(vanishing, q, p)
+        for k in range(w - len(pts)):
+            row = [0] * sum(widths)
+            row[offset + k:offset + k + len(vanishing)] = vanishing
+            rows.append(row)
+        offset += w
+    assert chain[-1].basis.tolist() == rref_rowwise(rows, p)
