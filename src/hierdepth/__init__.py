@@ -22,6 +22,7 @@ from .errors import (
     OverlappingSupport,
     Sentinel,
     ShapeMismatch,
+    TooLarge,
     VacuousTransform,
     WidthTooLarge,
 )

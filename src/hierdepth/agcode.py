@@ -35,10 +35,13 @@ from .errors import (
     EmptyCode,
     EmptyMessageSpace,
     INFEASIBLE,
+    TooLarge,
 )
 from .gf import Field, FMatrix
 
 DEFAULT_BUDGET = 10**7
+# Most points all_rational_points lists: all of P2 for p < 512, of P1 for p < 2**18.
+MAX_POINTS = 2**18
 
 # Homogeneous coordinates of a point, per space.
 SPACES = {"P1": 2, "P2": 3}
@@ -71,10 +74,16 @@ def normalize_point(coords, p: int) -> tuple[int, ...]:
 
 
 def all_rational_points(space: str, p: int) -> list[tuple[int, ...]]:
-    """Every rational point of the space, normalized, in a fixed order."""
+    """Every rational point of the space, normalized, in a fixed order.
+
+    Raises TooLarge when the space has more than MAX_POINTS points.
+    """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     Field(p)
+    count = p + 1 if space == "P1" else p * p + p + 1
+    if count > MAX_POINTS:
+        raise TooLarge(f"{space} over F_{p} has {count} points, above the cap {MAX_POINTS}")
     if space == "P1":
         return [(1, t) for t in range(p)] + [(0, 1)]
     pts = [(1, b, c) for b in range(p) for c in range(p)]
@@ -173,20 +182,27 @@ def vanishing_basis(degree: int, conditions, space: str,
     return SectionBasis(space=space, degree=degree, p=p, basis=basis)
 
 
-def _monomial_values(basis: SectionBasis, pt) -> np.ndarray:
-    vals = []
-    for expo in basis.monomials:
-        v = 1
-        for c, e in zip(pt, expo):
-            v = (v * pow(int(c), e, basis.p)) % basis.p
-        vals.append(v)
-    return np.array(vals, dtype=np.int64)
+def _evaluate(basis: SectionBasis, points) -> np.ndarray:
+    """Values of every basis form at every normalized point, dim x points.
+
+    A monomial's values multiply entries of one power table per coordinate,
+    each below p, so every product stays below 2**62 and is exact.
+    """
+    if not points:
+        raise ValueError("need at least one evaluation point")
+    p, coords = basis.p, np.array(points, dtype=np.int64)
+    powers = np.ones((basis.degree + 1,) + coords.shape, dtype=np.int64)
+    for e in range(basis.degree):
+        powers[e + 1] = powers[e] * coords % p
+    table = np.ones((basis.basis.cols, len(points)), dtype=np.int64)
+    for v, exponents in enumerate(np.array(basis.monomials).T):
+        table = table * powers[exponents, :, v] % p  # monomials x points
+    return (basis.basis.array @ table) % p
 
 
 def evaluate_basis(basis: SectionBasis, pt) -> np.ndarray:
     """Values of every basis form at a normalized point."""
-    pt = normalize_point(pt, basis.p)
-    return (basis.basis.array @ _monomial_values(basis, pt)) % basis.p
+    return _evaluate(basis, [normalize_point(pt, basis.p)])[:, 0]
 
 
 @dataclass
@@ -246,11 +262,7 @@ def build_code(bases, points, p: int, exceptional=()) -> LinearCode:
     rows = np.zeros((message_dim, width), dtype=np.int64)
     row = 0
     for i, b in enumerate(bases):
-        values = np.stack(
-            [(b.basis.array @ _monomial_values(b, pt)) % p for pt in allpts],
-            axis=1,
-        )  # dim x points
-        rows[row:row + b.dim, i::r] = values
+        rows[row:row + b.dim, i::r] = _evaluate(b, allpts)
         row += b.dim
     generator = FMatrix(p, rows, cols=width)
     return LinearCode(

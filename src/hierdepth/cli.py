@@ -25,8 +25,7 @@ from functools import cache
 
 from . import agcode, depth, hecke
 from .bundle import SplitBundle, parse_bundle
-from .errors import INFEASIBLE, HierdepthError
-from .gf import Field
+from .errors import INFEASIBLE, HierdepthError, NegativeM
 from .picard import Lattice, parse_class
 from .agcode import (
     DEFAULT_BUDGET,
@@ -69,11 +68,12 @@ def _int_list(text: str, field_name: str) -> list[int]:
         raise CliInputError(field_name, f"expected comma-separated integers, got {text!r}")
 
 
-def _int_option(opts, name: str, message: str) -> int:
+def _int(value, field_name: str, message: str) -> int:
+    """value as an integer; otherwise malformed input naming the field."""
     try:
-        return int(opts[name])
+        return int(value)
     except (TypeError, ValueError):
-        raise CliInputError(name, message)
+        raise CliInputError(field_name, message)
 
 
 def _degrees(opts) -> list[int]:
@@ -107,45 +107,32 @@ def _cmd_depth(opts, seed):
         if opts.get("bundle") or opts.get("surface"):
             raise CliInputError("curve", "choose either --curve or --surface")
         degrees = _degrees(opts)
-        lam = _int_option(opts, "lambda0", "expected an integer degree")
-        value = depth.curve_split_depth(degrees, lam)
-        curve = Lattice.curve()
-        d = sum(degrees)
-        v = _depth_value(value)
-        return {
-            "subcommand": "depth",
-            "lattice": "curve",
-            "det": curve.divisor(d).notation(),
-            "lambda0": curve.divisor(lam).notation(),
-            "bound": depth.rank_one_bound(d, lam),
-            "lower": v,
-            "upper": v,
-            "value": v,
-            "status": "ok" if v is not None else "no-filtration",
-            "seed": seed,
-        }
-    surface = opts.get("surface")
-    if surface not in ("p2", "p1xp1"):
-        raise CliInputError("surface", "expected p2 or p1xp1 (or use --curve)")
-    lattice = Lattice.p2() if surface == "p2" else Lattice.p1xp1()
-    try:
-        b = parse_bundle(opts["bundle"] or "", lattice)
-    except ValueError as e:
-        raise CliInputError("bundle", str(e))
-    try:
-        lam = parse_class(opts["lambda0"] or "", lattice)
-    except ValueError as e:
-        raise CliInputError("lambda0", str(e))
-    lower, upper = depth.surface_split_depth(b, lam)
-    lower, upper = _depth_value(lower), _depth_value(upper)
-    det = b.det()
+        d0 = _int(opts["lambda0"], "lambda0", "expected an integer degree")
+        lower = upper = _depth_value(depth.curve_split_depth(degrees, d0))
+        name, lattice = "curve", Lattice.curve()
+        det, lam = lattice.divisor(sum(degrees)), lattice.divisor(d0)
+    else:
+        name = opts.get("surface")
+        if name not in ("p2", "p1xp1"):
+            raise CliInputError("surface", "expected p2 or p1xp1 (or use --curve)")
+        lattice = Lattice.p2() if name == "p2" else Lattice.p1xp1()
+        try:
+            b = parse_bundle(opts["bundle"] or "", lattice)
+        except ValueError as e:
+            raise CliInputError("bundle", str(e))
+        try:
+            lam = parse_class(opts["lambda0"] or "", lattice)
+        except ValueError as e:
+            raise CliInputError("lambda0", str(e))
+        lower, upper = map(_depth_value, depth.surface_split_depth(b, lam))
+        det = b.det()
     if lattice.rank == 1:
         bound = depth.rank_one_bound(det.coeffs[0], lam.coeffs[0])
     else:
         bound = upper
     return {
         "subcommand": "depth",
-        "lattice": surface,
+        "lattice": name,
         "det": det.notation(),
         "lambda0": lam.notation(),
         "bound": bound,
@@ -158,7 +145,7 @@ def _cmd_depth(opts, seed):
 
 
 def _cmd_mmp_depth(opts, seed):
-    hmin = _int_option(opts, "hmin", "expected an integer")
+    hmin = _int(opts["hmin"], "hmin", "expected an integer")
     if hmin < 0:
         raise CliInputError("hmin", f"must be nonnegative, got {hmin}")
     alpha = _int_list(opts["alpha"] or "", "alpha")
@@ -176,9 +163,9 @@ def _cmd_mmp_depth(opts, seed):
 
 
 def _cmd_filtration(opts, seed):
-    p = _int_option(opts, "field", "expected a prime integer")
+    p = _int(opts["field"], "field", "expected a prime integer")
     degrees = _degrees(opts)
-    lam = _int_option(opts, "lambda0", "expected an integer degree")
+    lam = _int(opts["lambda0"], "lambda0", "expected an integer degree")
     base = {
         "subcommand": "filtration",
         "field": p,
@@ -186,8 +173,9 @@ def _cmd_filtration(opts, seed):
         "lambda0": lam,
         "seed": seed,
     }
-    if sum(degrees) - lam < 0:
-        Field(p)  # build_curve_filtration checks it on the other path
+    try:
+        filt, chain = hecke.build_curve_filtration(degrees, lam, p)
+    except NegativeM:
         base.update({
             "status": "no-filtration",
             "length": None,
@@ -197,7 +185,6 @@ def _cmd_filtration(opts, seed):
             "verified": None,
         })
         return base
-    filt, chain = hecke.build_curve_filtration(degrees, lam, p)
     curve = Lattice.curve()
     target = SplitBundle(tuple(curve.divisor(d) for d in degrees))
     base.update({
@@ -215,14 +202,12 @@ def _hecke_point(text: str, field_name: str) -> hecke.RationalPoint:
     t = text.strip().lower()
     if t in ("inf", "infinity", "oo"):
         return hecke.INFINITY
-    try:
-        return hecke.RationalPoint.affine(int(t))
-    except ValueError:
-        raise CliInputError(field_name, f"expected an integer or 'inf', got {text!r}")
+    message = f"expected an integer or 'inf', got {text!r}"
+    return hecke.RationalPoint.affine(_int(t, field_name, message))
 
 
 def _cmd_hecke_verify(opts, seed):
-    p = _int_option(opts, "field", "expected a prime integer")
+    p = _int(opts["field"], "field", "expected a prime integer")
     degrees = _degrees(opts)
     raw_points = (opts["points"] or "").split(",")
     if len(raw_points) != 2:
@@ -308,10 +293,7 @@ def parse_code_config(path: str) -> CodeConfig:
             raise CliInputError("config", f"line {lineno}: unknown key {key!r}")
     if "p" not in values:
         raise CliInputError("p", "missing from config")
-    try:
-        p = int(values["p"])
-    except ValueError:
-        raise CliInputError("p", f"expected an integer, got {values['p']!r}")
+    p = _int(values["p"], "p", f"expected an integer, got {values['p']!r}")
     space = values.get("space", "P2").upper()
     if space not in SPACES:
         raise CliInputError("space", f"expected P1 or P2, got {values.get('space')!r}")
@@ -320,10 +302,7 @@ def parse_code_config(path: str) -> CodeConfig:
     summands = []
     for text in values["summand"]:
         head, _, tail = text.partition(";")
-        try:
-            degree = int(head.strip())
-        except ValueError:
-            raise CliInputError("summand", f"expected integer degree, got {head!r}")
+        degree = _int(head, "summand", f"expected integer degree, got {head!r}")
         if degree < 0:
             raise CliInputError("summand", f"degree must be nonnegative, got {degree}")
         conditions = []
@@ -332,12 +311,7 @@ def parse_code_config(path: str) -> CodeConfig:
             for item in tail.split(","):
                 pt_text, _, order_text = item.strip().partition("@")
                 pt = _point(pt_text, "summand", space, p)
-                order = 1
-                if order_text:
-                    try:
-                        order = int(order_text)
-                    except ValueError:
-                        raise CliInputError("summand", f"bad order {order_text!r}")
+                order = _int(order_text or 1, "summand", f"bad order {order_text!r}")
                 if order < 1:
                     raise CliInputError("summand", f"order must be at least 1, got {order}")
                 conditions.append(VanishingCondition(pt, order))
@@ -356,14 +330,10 @@ def parse_code_config(path: str) -> CodeConfig:
             raise CliInputError("exclude", "only valid with points = all-rational")
         points = [_point(t, "points", space, p) for t in values["points"].split(",")]
     exceptional = [_point(t, "exceptional", space, p) for t in values["exceptional"]]
-    budget = DEFAULT_BUDGET
-    if "budget" in values:
-        try:
-            budget = int(values["budget"])
-        except ValueError:
-            raise CliInputError("budget", f"expected an integer, got {values['budget']!r}")
-        if budget <= 0:
-            raise CliInputError("budget", f"must be positive, got {budget}")
+    text = values.get("budget", DEFAULT_BUDGET)
+    budget = _int(text, "budget", f"expected an integer, got {text!r}")
+    if budget <= 0:
+        raise CliInputError("budget", f"must be positive, got {budget}")
     return CodeConfig(
         p=p,
         space=space,

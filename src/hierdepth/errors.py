@@ -52,7 +52,11 @@ class NotEffective(HierdepthError):
     """A divisor class required to be effective is not."""
 
 
-class WidthTooLarge(HierdepthError):
+class TooLarge(HierdepthError):
+    """Input whose listing or working space exceeds a supported maximum."""
+
+
+class WidthTooLarge(TooLarge):
     """Section space wider than the supported maximum for transform chains."""
 
 

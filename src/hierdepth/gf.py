@@ -77,14 +77,14 @@ class FMatrix:
 
     def __init__(self, p: int, data, cols: int | None = None):
         Field(p)  # validates the modulus
-        a = np.array(data, dtype=np.int64)
+        a = np.asarray(data, dtype=np.int64)
         if a.size == 0:
             if cols is None:
                 cols = a.shape[1] if a.ndim == 2 else 0
             a = a.reshape(0, cols)
         if a.ndim != 2:
             raise ValueError("matrix data must be two dimensional")
-        a = a % p
+        a = a % p  # the only copy, so the caller's array is not shared
         a.setflags(write=False)
         self.p = p
         self._a = a
@@ -92,10 +92,6 @@ class FMatrix:
     @classmethod
     def identity(cls, p: int, n: int) -> "FMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
 
     @property
     def array(self) -> np.ndarray:
@@ -114,25 +110,8 @@ class FMatrix:
     def shape(self) -> tuple[int, int]:
         return self._a.shape
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._a.any()
-
     def tolist(self):
         return [[int(v) for v in row] for row in self._a]
-
-    def row(self, i: int):
-        return [int(v) for v in self._a[i]]
-
-    def transpose(self) -> "FMatrix":
-        return FMatrix(self.p, self._a.T)
-
-    def matmul(self, other: "FMatrix") -> "FMatrix":
-        if self.p != other.p:
-            raise ValueError("matrix moduli differ")
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        return FMatrix(self.p, dot_mod(self._a, other._a, self.p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FMatrix):
@@ -142,9 +121,6 @@ class FMatrix:
             and self.shape == other.shape
             and bool(np.array_equal(self._a, other._a))
         )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.shape, self._a.tobytes()))
 
     def __repr__(self) -> str:
         return f"FMatrix(p={self.p}, shape={self.shape})"

@@ -61,11 +61,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        if self.kind is LatticeKind.BLOWUP_P2:
-            return 1 + self.blowups
-        if self.kind is LatticeKind.P1XP1:
-            return 2
-        return 1
+        return len(self.generator_names)
 
     @property
     def generator_names(self) -> tuple[str, ...]:

@@ -33,6 +33,8 @@ from hierdepth.errors import (
     DuplicatePoint,
     EmptyCode,
     EmptyMessageSpace,
+    TooLarge,
+    WidthTooLarge,
 )
 from hierdepth.gf import FMatrix
 
@@ -133,6 +135,25 @@ def test_rational_point_inventories():
     assert len(line) == 6 and line[-1] == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "space,p,count",
+    [
+        ("P2", 509, 509**2 + 509 + 1),  # the largest plane under the cap
+        ("P2", 521, None),
+        ("P1", 2**18 - 5, 2**18 - 4),
+        ("P1", 2**18 + 3, None),
+    ],
+)
+def test_rational_point_listing_is_capped(space, p, count):
+    assert issubclass(WidthTooLarge, TooLarge)
+    if count is None:
+        with pytest.raises(TooLarge):
+            all_rational_points(space, p)
+    else:
+        assert count <= agcode.MAX_POINTS
+        assert len(all_rational_points(space, p)) == count
+
+
 class TestVanishingSpaces:
     def test_dimension_ladder_through_a_point(self):
         conds = [VanishingCondition((1, 2, 3))]
@@ -203,7 +224,61 @@ class TestVanishingSpaces:
         ]
 
 
+def python_value(form, monomials, pt, p):
+    """A form's value at a point, summed over Python integers."""
+    return sum(
+        c * math.prod(x**e for x, e in zip(pt, expo))
+        for c, expo in zip(form, monomials)
+    ) % p
+
+
 class TestBuildCode:
+    # Small enough that no int64 sum in the evaluation can overflow.
+    @given(
+        st.sampled_from([2, 3, 5, 101, 65537, 2**20 + 7]),
+        st.sampled_from(["P1", "P2"]),
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_generator_matches_python_evaluation(self, p, space, degrees, rnd):
+        nvars = agcode.SPACES[space]
+
+        def point():  # unnormalized, with its first nonzero entry at chart
+            chart = rnd.randrange(nvars)
+            rest = tuple(rnd.randrange(p) for _ in range(nvars - chart - 1))
+            return (0,) * chart + (rnd.randrange(1, p),) + rest
+
+        bases = [
+            vanishing_basis(
+                d,
+                [VanishingCondition(point(), rnd.randint(1, 3))
+                 for _ in range(rnd.randint(0, 2))],
+                space, p,
+            )
+            for d in degrees
+        ]
+        regular = list({normalize_point(point(), p) for _ in range(rnd.randint(1, 6))})
+        exceptional = [point() for _ in range(rnd.randint(0, 2))]
+        if not any(b.dim for b in bases):
+            with pytest.raises(EmptyMessageSpace):
+                build_code(bases, regular, p, exceptional=exceptional)
+            return
+        code = build_code(bases, regular, p, exceptional=exceptional)
+        generator = code.generator.tolist()
+        r, row = code.r, 0
+        for i, b in enumerate(bases):
+            forms = b.basis.tolist()
+            block = generator[row:row + b.dim]
+            for form, got in zip(forms, block):
+                want = [python_value(form, b.monomials, pt, p) for pt in code.points]
+                assert got[i::r] == want
+            for j, pt in enumerate(code.points):
+                scale = rnd.randrange(1, p)
+                scaled = tuple(c * scale for c in pt)
+                column = [w[j * r + i] for w in block]
+                assert evaluate_basis(b, scaled).tolist() == column
+            row += b.dim
+
     def test_shapes_and_rank(self):
         b = vanishing_basis(1, [], "P2", 5)
         pts = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
@@ -270,7 +345,7 @@ class TestReedSolomonGrid:
     def test_empty_code_rejected(self):
         dead = LinearCode(
             p=5, r=1, points=((1, 0), (1, 1)),
-            generator=FMatrix.zeros(5, 1, 2), k=0, message_dim=1,
+            generator=FMatrix(5, [[0, 0]]), k=0, message_dim=1,
         )
         with pytest.raises(EmptyCode):
             min_distance(dead)
@@ -458,7 +533,7 @@ class TestContractionRandomized:
     def test_compare_refuses_fully_dead_code(self):
         dead = LinearCode(
             p=5, r=1, points=((1, 0), (1, 1)),
-            generator=FMatrix.zeros(5, 1, 2), k=1, message_dim=1,
+            generator=FMatrix(5, [[0, 0]]), k=1, message_dim=1,
         )
         with pytest.raises(EmptyCode):
             mmp_compare(dead)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -35,6 +36,12 @@ def report_of(argv):
     rep = json.loads(out)
     jsonschema.validate(rep, SCHEMAS[rep["subcommand"]])
     return rep
+
+
+def module_env():
+    """Environment for running `python -m hierdepth.cli` from this checkout."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(q for q in paths if q))
 
 
 def write_config(tmp_path, text, name="code.cfg"):
@@ -373,6 +380,10 @@ class TestMalformedInput:
             pytest.param(
                 {"space": "P2", "points": "1:2, 1:0:0"}, "points", id="P2-point-2-coords",
             ),
+            pytest.param({"p": "x"}, "p", id="p-not-an-integer"),
+            pytest.param({"summand": "a"}, "summand", id="degree-not-an-integer"),
+            pytest.param({"summand": "2; 1:1@x"}, "summand", id="order-not-an-integer"),
+            pytest.param({"budget": "1.5"}, "budget", id="budget-not-an-integer"),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, keys, field):
@@ -400,6 +411,35 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 1.0
         assert rc == 2 and out == ""
         assert err.startswith("error: EmptyMessageSpace:"), err
+
+    @pytest.mark.parametrize(
+        "space,p,refused",
+        [
+            pytest.param("P2", 65537, True, id="P2-65537"),
+            pytest.param("P1", 2**31 - 1, True, id="P1-2^31-1"),
+            pytest.param("P1", 2**18 - 5, False, id="P1-at-the-cap"),
+        ],
+    )
+    def test_all_rational_listing_is_capped(self, tmp_path, space, p, refused):
+        # Run apart, with address space capped at 3 GB: an uncapped listing
+        # then ends in MemoryError instead of exhausting the machine.
+        cfg = write_config(
+            tmp_path, f"p = {p}\nspace = {space}\nsummand = 1\npoints = all-rational\n"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierdepth.cli", "code-build", "--config", cfg],
+            capture_output=True, text=True, env=module_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+        )
+        if refused:
+            assert time.perf_counter() - start < 1.0
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert proc.stderr.startswith("error: TooLarge:"), proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["N"] == p + 1
 
     def test_non_prime_field_is_a_domain_error(self, tmp_path):
         cfg = write_config(tmp_path, "p = 9\nspace = P1\nsummand = 1\npoints = 1:0\n")
@@ -463,12 +503,10 @@ class TestOutputDiscipline:
         assert "value: 3" in out
 
     def test_module_entry_point(self):
-        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run(
             [sys.executable, "-m", "hierdepth.cli",
              "depth", "--curve", "--degrees", "3,1,0", "--lambda0", "0"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 4

@@ -1,6 +1,8 @@
 """Exact prime-field linear algebra: canonical forms, ranks, kernels."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ def test_vandermonde_rank_full():
 
 
 def test_kernel_of_zero_matrix_is_identity():
-    k = kernel_basis(FMatrix.zeros(5, 2, 3))
+    k = kernel_basis(FMatrix(5, np.zeros((2, 3), dtype=np.int64)))
     assert k == FMatrix.identity(5, 3)
 
 
@@ -67,7 +69,7 @@ def test_kernel_rows_annihilate_matrix():
         for _ in range(40):
             m = FMatrix(p, rng.randint(0, p, size=(4, 6)))
             k = kernel_basis(m)
-            assert m.matmul(k.transpose()).is_zero
+            assert not dot_mod(m.array, k.array.T, p).any()
 
 
 def test_rank_plus_kernel_dim_is_cols():
@@ -121,15 +123,13 @@ def test_matrix_equality_and_entries():
     assert m != FMatrix(7, [[1, 4], [0, 2]])
 
 
-def test_matmul_matches_python_ints():
-    rng = np.random.RandomState(13)
-    a = rng.randint(0, 7, size=(3, 4))
-    b = rng.randint(0, 7, size=(4, 2))
-    expect = [
-        [sum(int(a[i, t]) * int(b[t, j]) for t in range(4)) % 7 for j in range(2)]
-        for i in range(3)
-    ]
-    assert FMatrix(7, a).matmul(FMatrix(7, b)).tolist() == expect
+def test_matrix_owns_its_entries():
+    src = np.array([[1, 9], [3, 4]], dtype=np.int64)
+    m = FMatrix(5, src)
+    src[0, 0] = 2
+    assert m.tolist() == [[1, 4], [3, 4]]
+    assert not m.array.flags.writeable
+    assert FMatrix(5, [[1, 9], [3, 4]]) == m
 
 
 def test_large_prime_field_elimination():
@@ -142,7 +142,7 @@ def test_large_prime_field_elimination():
     k = kernel_basis(FMatrix(p, [[p - 1, 1]]))
     assert k.rows == 1
     # the kernel vector satisfies the equation exactly
-    v = k.row(0)
+    v = k.tolist()[0]
     assert ((p - 1) * v[0] + v[1]) % p == 0
 
 
@@ -204,6 +204,27 @@ def test_dot_mod_matches_python_ints(p, inner):
     ]
     assert dot_mod(a, b, p).tolist() == expect
     assert dot_mod(a, b[:, 0], p).tolist() == [row[0] for row in expect]
+
+
+def _raw_product(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dot", "matmul", "einsum", "tensordot", "inner"))
+
+
+def test_raw_products_sit_where_pinned():
+    # dot_mod is the exact kernel. agcode._evaluate keeps a raw int64
+    # product whose sums overflow near 2**31, and min_distance's float32
+    # product counts 0/1 entries. A new raw product belongs in dot_mod.
+    found = set()
+    for path in sorted(Path(gf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                _raw_product(n) for n in ast.walk(node)
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == {"gf.dot_mod", "agcode._evaluate", "agcode.min_distance"}
 
 
 def rref_rowwise(a, p):
