@@ -42,6 +42,9 @@ from .gf import Field, FMatrix
 DEFAULT_BUDGET = 10**7
 # Most points all_rational_points lists: all of P2 for p < 512, of P1 for p < 2**18.
 MAX_POINTS = 2**18
+# Most monomials one summand may have: degree 89 on P2, 4095 on P1. P2 at
+# degree 89 with two vanishing points builds in about half a second.
+MAX_MONOMIALS = 2**12
 
 # Homogeneous coordinates of a point, per space.
 SPACES = {"P1": 2, "P2": 3}
@@ -169,11 +172,17 @@ def vanishing_basis(degree: int, conditions, space: str,
     """Basis of the degree-d forms meeting all vanishing conditions.
 
     The dimension is the count of degree-d monomials minus the number of
-    independent condition functionals.
+    independent condition functionals. Raises TooLarge, before anything is
+    allocated, when there are more than MAX_MONOMIALS monomials.
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     Field(p)
+    count = comb(max(degree, 0) + SPACES[space] - 1, SPACES[space] - 1)
+    if count > MAX_MONOMIALS:
+        raise TooLarge(
+            f"degree {degree} on {space} has {count} monomials, above the cap {MAX_MONOMIALS}"
+        )
     monos = monomial_exponents(degree, SPACES[space])
     rows = []
     for cond in conditions:

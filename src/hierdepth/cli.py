@@ -330,6 +330,8 @@ def parse_code_config(path: str) -> CodeConfig:
             raise CliInputError("exclude", "only valid with points = all-rational")
         points = [_point(t, "points", space, p) for t in values["points"].split(",")]
     exceptional = [_point(t, "exceptional", space, p) for t in values["exceptional"]]
+    if not points and not exceptional:
+        raise CliInputError("exclude", "removes every point and no exceptional point is given")
     text = values.get("budget", DEFAULT_BUDGET)
     budget = _int(text, "budget", f"expected an integer, got {text!r}")
     if budget <= 0:

@@ -126,6 +126,14 @@ class FMatrix:
         return f"FMatrix(p={self.p}, shape={self.shape})"
 
 
+def _trusted(p: int, a: np.ndarray) -> FMatrix:
+    """FMatrix of an array gf or hecke reduced: no checks, no copy; made read-only."""
+    m = FMatrix.__new__(FMatrix)
+    m.p, m._a = p, a
+    a.setflags(write=False)
+    return m
+
+
 def _eliminate(a: np.ndarray, rows: np.ndarray, pivot_row: np.ndarray,
                coeffs: np.ndarray, c: int, p: int) -> None:
     """One pivot step, in place: a[rows[k]] -= coeffs[k] * pivot_row mod p.
@@ -176,7 +184,7 @@ def _is_rref(a: np.ndarray) -> bool:
 
 def rref(m: FMatrix) -> FMatrix:
     """Canonical reduced row echelon form; rows span the same row space."""
-    return FMatrix(m.p, _rref_array(m.array, m.p), cols=m.cols)
+    return _trusted(m.p, _rref_array(m.array, m.p))
 
 
 def rank(m: FMatrix) -> int:
@@ -209,7 +217,7 @@ def cut(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     rows = rows[:-1]
     pivot_row = a[r]
     # rows affected all lie above r, so deleting r keeps their indices
-    a = np.delete(a, r, axis=0)
+    a = np.concatenate((a[:r], a[r + 1:]))
     inv = pow(int(v[r]), p - 2, p)
     c = int(np.flatnonzero(pivot_row)[0])
     _eliminate(a, rows, pivot_row, (v[rows] * inv) % p, c, p)
@@ -231,4 +239,4 @@ def subspace_kernel(basis: FMatrix, functional_rows: np.ndarray) -> FMatrix:
         a = _rref_array(a, p)
     for f in np.asarray(functional_rows, dtype=np.int64) % p:
         a = cut(a, dot_mod(a, f, p), p)
-    return FMatrix(p, a, cols=basis.cols)
+    return _trusted(p, a)

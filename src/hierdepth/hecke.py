@@ -12,6 +12,8 @@ the subspace by the kernel of the functional s -> phi . s(q). Evaluation
 at the point at infinity [1:0] reads the top coefficient of each block.
 The transform is refused as vacuous when the functional already vanishes
 on the whole subspace, since then no colength-one modification happens.
+The filtration builder runs its chain on raw arrays, from one power table
+per request, and wraps each step's basis without re-checking it.
 
 When the plain section space is too thin to carry all requested steps
 (negative degrees contribute nothing), the filtration builder shifts every
@@ -103,8 +105,8 @@ class SubsheafModel:
     shift applied to every block in the stored coordinates; det_degree
     ledgers the untwisted determinant degree, dropping by one per
     transform. The basis is in reduced echelon form: the constructors
-    start from an identity, and each transform keeps the form, so no step
-    re-checks it.
+    start from an identity and each transform keeps the form, so no step
+    re-checks it; the filtration chain wraps raw arrays without checks.
     """
 
     degrees: tuple[int, ...]
@@ -162,29 +164,40 @@ def full_sections(degrees, p: int) -> SubsheafModel:
     return SubsheafModel(degrees, 0, p, basis, sum(degrees))
 
 
-def _block_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
-    """Evaluation at the point of each block alone, one row per summand.
+def _powers(coords, p: int, widths) -> np.ndarray:
+    """coords[j]**k mod p for k < max(widths); entries < p keep products exact."""
+    coords = np.asarray(coords, dtype=np.int64)
+    pw = np.ones((coords.size, max(widths, default=0)), dtype=np.int64)
+    for k in range(1, pw.shape[1]):
+        pw[:, k] = pw[:, k - 1] * coords % p
+    return pw
 
-    Row i is the functional of the covector e_i: the powers 1, q, q^2, ...
-    of q = point across block i, or the block's top coefficient at infinity.
-    """
-    widths = m.block_widths
-    rows = np.zeros((m.rank, sum(widths)), dtype=np.int64)
-    powers = np.zeros(max(widths, default=0), dtype=np.int64)
-    if not point.is_infinity:
-        q = point.coord % m.p
-        val = 1
-        for k in range(powers.size):
-            powers[k] = val
-            val = (val * q) % m.p
+
+def _eval_rows(widths, powers) -> np.ndarray:
+    """Width x rank: column i evaluates block i alone at one point, by the
+    powers 1, q, q^2, ... of an affine point q across the block, or at
+    infinity (powers None) by the block's top coefficient."""
+    rows = np.zeros((sum(widths), len(widths)), dtype=np.int64)
     for i, (w, off) in enumerate(zip(widths, accumulate(widths, initial=0))):
-        if w == 0:
-            continue
-        if point.is_infinity:
-            rows[i, off + w - 1] = 1
-        else:
-            rows[i, off:off + w] = powers[:w]
+        if w and powers is None:
+            rows[off + w - 1, i] = 1
+        elif w:
+            rows[off:off + w, i] = powers[:w]
     return rows
+
+
+def _point_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
+    w = m.block_widths
+    pw = None if point.is_infinity else _powers([point.coord % m.p], m.p, w)[0]
+    return _eval_rows(w, pw)
+
+
+def _first_usable(values: np.ndarray, point: RationalPoint) -> int:
+    """The covector selection rule: the first block with nonzero values."""
+    usable = np.flatnonzero(values.any(axis=0))
+    if usable.size == 0:
+        raise VacuousTransform(f"no usable covector at point {point.label()}")
+    return int(usable[0])
 
 
 def _functional_row(m: SubsheafModel, phi: PointFunctional) -> np.ndarray:
@@ -193,7 +206,7 @@ def _functional_row(m: SubsheafModel, phi: PointFunctional) -> np.ndarray:
             f"covector length {len(phi.covector)} does not match rank {m.rank}"
         )
     cov = np.array([c % m.p for c in phi.covector], dtype=np.int64)
-    return gf.dot_mod(cov, _block_rows(m, phi.point), m.p)
+    return gf.dot_mod(_point_rows(m, phi.point), cov, m.p)
 
 
 def apply_transform(m: SubsheafModel, phi: PointFunctional) -> SubsheafModel:
@@ -220,13 +233,8 @@ def first_usable_covector(m: SubsheafModel,
     Raises VacuousTransform when every section of the subspace vanishes
     at the point.
     """
-    values = gf.dot_mod(m.basis.array, _block_rows(m, point).T, m.p)
-    usable = np.flatnonzero(values.any(axis=0))
-    if usable.size == 0:
-        raise VacuousTransform(f"no usable covector at point {point.label()}")
-    cov = [0] * m.rank
-    cov[int(usable[0])] = 1
-    return PointFunctional(point, tuple(cov))
+    i = _first_usable(gf.dot_mod(m.basis.array, _point_rows(m, point), m.p), point)
+    return PointFunctional(point, tuple(int(k == i) for k in range(m.rank)))
 
 
 @dataclass(frozen=True)
@@ -339,17 +347,16 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     # _choose_twist from searching up to a huge twist
     _check_width(steps)
     twist = _choose_twist(degrees, steps)
-    width = sum(_widths(degrees, twist))
-    _check_width(width)
-    start = SubsheafModel(
-        degrees, twist, p, FMatrix.identity(p, width), sum(degrees)
-    )
-    chain = [start]
-    current = start
+    widths = _widths(degrees, twist)
+    _check_width(sum(widths))
+    pw = _powers(range(min(steps, p)), p, widths)
+    a = np.eye(sum(widths), dtype=np.int64)
+    chain = [SubsheafModel(degrees, twist, p, gf._trusted(p, a), sum(degrees))]
     for j in range(steps):
-        phi = first_usable_covector(current, point_at(j, p))
-        current = apply_transform(current, phi)
-        chain.append(current)
+        values = gf.dot_mod(a, _eval_rows(widths, pw[j] if j < p else None), p)
+        a = gf.cut(a, values[:, _first_usable(values, point_at(j, p))], p)
+        basis = gf._trusted(p, a)
+        chain.append(SubsheafModel(degrees, twist, p, basis, sum(degrees) - j - 1))
     curve = Lattice.curve()
     filtration = HierFiltration(
         lambda0=curve.divisor(int(lambda0_degree)),

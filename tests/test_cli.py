@@ -313,6 +313,35 @@ class TestCodeCommands:
         rep = report_of(["code-build", "--config", cfg])
         assert rep["N"] == 5  # the point at infinity was dropped
 
+    def test_every_point_excluded_leaves_the_exceptional_slots(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "p = 2\nspace = P1\nsummand = 1\npoints = all-rational\n"
+            "exclude = 1:0\nexclude = 1:1\nexclude = 0:1\nexceptional = 1:1\n",
+        )
+        rep = report_of(["code-build", "--config", cfg])
+        assert (rep["N"], rep["k"]) == (1, 1)
+
+
+def code_build_capped(cfg, refused):
+    """Run code-build apart, with address space capped at 3 GB, so an uncapped
+    size ends in MemoryError instead of exhausting the machine. A refusal is
+    one TooLarge line within a second; otherwise the report is returned."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hierdepth.cli", "code-build", "--config", cfg],
+        capture_output=True, text=True, env=module_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+    )
+    if not refused:
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: TooLarge:"), proc.stderr
+    return None
+
 
 def assert_one_line_error(result, field):
     rc, out, err = result
@@ -384,11 +413,19 @@ class TestMalformedInput:
             pytest.param({"summand": "a"}, "summand", id="degree-not-an-integer"),
             pytest.param({"summand": "2; 1:1@x"}, "summand", id="order-not-an-integer"),
             pytest.param({"budget": "1.5"}, "budget", id="budget-not-an-integer"),
+            pytest.param(
+                {"p": "2", "points": "all-rational", "exclude": ["1:0", "1:1", "0:1"]},
+                "exclude", id="every-point-excluded",
+            ),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, keys, field):
         keys = {"p": "5", "space": "P1", "summand": "1", "points": "1:0, 1:1", **keys}
-        cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        lines = [
+            f"{k} = {v}\n" for k, vs in keys.items()
+            for v in ([vs] if isinstance(vs, str) else vs)
+        ]
+        cfg = write_config(tmp_path, "".join(lines))
         assert_one_line_error(run(["code-analyze", "--config", cfg]), field)
 
     def test_config_errors_name_the_key(self, tmp_path):
@@ -421,25 +458,29 @@ class TestMalformedInput:
         ],
     )
     def test_all_rational_listing_is_capped(self, tmp_path, space, p, refused):
-        # Run apart, with address space capped at 3 GB: an uncapped listing
-        # then ends in MemoryError instead of exhausting the machine.
         cfg = write_config(
             tmp_path, f"p = {p}\nspace = {space}\nsummand = 1\npoints = all-rational\n"
         )
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "hierdepth.cli", "code-build", "--config", cfg],
-            capture_output=True, text=True, env=module_env(),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+        rep = code_build_capped(cfg, refused)
+        assert refused or rep["N"] == p + 1
+
+    @pytest.mark.parametrize(
+        "space,summand,refused",
+        [
+            pytest.param("P2", "4000", True, id="P2-degree-4000"),
+            pytest.param("P2", "90", True, id="P2-above-the-cap"),
+            pytest.param("P1", "1000000000", True, id="P1-degree-1e9"),
+            pytest.param("P2", "89; 1:0:0@1, 0:1:0@1", False, id="P2-at-the-cap"),
+        ],
+    )
+    def test_monomials_per_summand_are_capped(self, tmp_path, space, summand, refused):
+        # uncapped, degree 4000 on P2 asks for an identity on 8 006 001 monomials
+        points = "1:1:1, 1:2:3" if space == "P2" else "1:1, 1:2"
+        cfg = write_config(
+            tmp_path, f"p = 5\nspace = {space}\nsummand = {summand}\npoints = {points}\n"
         )
-        if refused:
-            assert time.perf_counter() - start < 1.0
-            assert proc.returncode == 2 and proc.stdout == ""
-            assert len(proc.stderr.splitlines()) == 1, proc.stderr
-            assert proc.stderr.startswith("error: TooLarge:"), proc.stderr
-        else:
-            assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout)["N"] == p + 1
+        rep = code_build_capped(cfg, refused)
+        assert refused or rep["message_dim"] == 4095 - 2
 
     def test_non_prime_field_is_a_domain_error(self, tmp_path):
         cfg = write_config(tmp_path, "p = 9\nspace = P1\nsummand = 1\npoints = 1:0\n")

@@ -227,6 +227,29 @@ def test_raw_products_sit_where_pinned():
     assert found == {"gf.dot_mod", "agcode._evaluate", "agcode.min_distance"}
 
 
+def _trusted_refs(node):
+    return sum(
+        isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        and (n.id if isinstance(n, ast.Name) else n.attr) == "_trusted"
+        for n in ast.walk(node)
+    )
+
+
+def test_trusted_wraps_sit_where_pinned():
+    # gf._trusted skips the prime check and the reduction, so only code that
+    # produced the reduced array itself may call it: the transform chain and
+    # gf's own echelon and kernel results. Scripts are outside callers.
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    found = set()
+    for path in sorted(Path(gf.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        found |= {f"{path.stem}.{f.name}" for f in functions if _trusted_refs(f)}
+        if _trusted_refs(tree) > sum(_trusted_refs(f) for f in functions):
+            found.add(f"{path.stem}.<module>")
+    assert found == {"hecke.build_curve_filtration", "gf.rref", "gf.subspace_kernel"}
+
+
 def rref_rowwise(a, p):
     """Reference elimination: one Python row operation at a time."""
     a = [[int(x) % p for x in row] for row in a]

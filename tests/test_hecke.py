@@ -432,3 +432,34 @@ def test_chain_follows_the_block_capacity_rule(p, degrees, data):
             rows.append(row)
         offset += w
     assert chain[-1].basis.tolist() == rref_rowwise(rows, p)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 101, 65537, 2**31 - 1]),
+    st.lists(st.integers(min_value=-4, max_value=12), min_size=1, max_size=4),
+    st.data(),
+)
+def test_chain_replays_through_the_public_transforms(p, degrees, data):
+    # The chain runs on raw arrays; replaying it from chain[0] through the
+    # checked first_usable_covector and apply_transform must give the same
+    # covector at every step and equal bases, and every basis is read-only.
+    steps = data.draw(st.integers(min_value=0, max_value=min(60, p + 1)))
+    _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
+    assert len(chain) == steps + 1
+    current = chain[0]
+    for j in range(steps):
+        phi = first_usable_covector(current, point_at(j, p))
+        current = apply_transform(current, phi)
+        assert first_usable_covector(chain[j], point_at(j, p)) == phi
+        assert current == chain[j + 1]
+    assert not any(m.basis.array.flags.writeable for m in chain)
+
+
+@pytest.mark.parametrize("degrees, steps", [([0], 0), ([3, 1], 5), ([40, 40, 20], 101)])
+def test_chain_checks_the_prime_once(monkeypatch, degrees, steps):
+    calls = []
+    original = gf._is_prime
+    monkeypatch.setattr(gf, "_is_prime", lambda n: calls.append(n) or original(n))
+    _, chain = build_curve_filtration(degrees, sum(degrees) - steps, 101)
+    assert len(chain) == steps + 1
+    assert calls == [101]
