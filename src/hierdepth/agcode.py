@@ -380,14 +380,27 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
 
 @dataclass(frozen=True)
 class ContractionReport:
+    """Zero blocks dropped, and the normalized distances when d is known."""
+
     zero_blocks: tuple[int, ...]
     n_points_before: int
     n_points_after: int
     k: int
-    d_min_before: int | None
+    d_min: int | None
     delta_before: Fraction | None
     delta_after: Fraction | None
-    empty_code: bool
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """delta_after / delta_before; None while d is unknown."""
+        if self.delta_before is None:
+            return None
+        return self.delta_after / self.delta_before
+
+    @property
+    def improved(self) -> bool:
+        """Whether some block was dropped, which shortens the code."""
+        return bool(self.zero_blocks)
 
 
 def zero_blocks(code: LinearCode) -> tuple[int, ...]:
@@ -418,6 +431,24 @@ def _take_blocks(code: LinearCode, blocks, d_min=None) -> LinearCode:
     )
 
 
+def _contraction_report(code: LinearCode, zero, d) -> ContractionReport:
+    """The report of dropping the zero blocks of code, whose distance is d."""
+    n_after = code.num_points - len(zero)
+    delta_before = delta_after = None
+    if d is not None and n_after:
+        delta_before = Fraction(d, code.n)
+        delta_after = Fraction(d, code.r * n_after)
+    return ContractionReport(
+        zero_blocks=zero,
+        n_points_before=code.num_points,
+        n_points_after=n_after,
+        k=code.k,
+        d_min=d,
+        delta_before=delta_before,
+        delta_after=delta_after,
+    )
+
+
 def zero_block_contract(code: LinearCode):
     """Drop every point block on which all codewords vanish.
 
@@ -429,23 +460,9 @@ def zero_block_contract(code: LinearCode):
     distance was already known.
     """
     zero = zero_blocks(code)
-    keep = [j for j in range(code.num_points) if j not in set(zero)]
-    contracted = _take_blocks(code, keep)
-    delta_before = delta_after = None
-    if code.d_min is not None and keep:
-        delta_before = Fraction(code.d_min, code.n)
-        delta_after = Fraction(code.d_min, contracted.n)
-    report = ContractionReport(
-        zero_blocks=zero,
-        n_points_before=code.num_points,
-        n_points_after=len(keep),
-        k=code.k,
-        d_min_before=code.d_min,
-        delta_before=delta_before,
-        delta_after=delta_after,
-        empty_code=not keep,
-    )
-    return contracted, report
+    dropped = set(zero)
+    keep = [j for j in range(code.num_points) if j not in dropped]
+    return _take_blocks(code, keep), _contraction_report(code, zero, code.d_min)
 
 
 def normalized_distance(code: LinearCode) -> Fraction:
@@ -455,53 +472,27 @@ def normalized_distance(code: LinearCode) -> Fraction:
     return Fraction(code.d_min, code.n)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    n_points_before: int
-    n_points_after: int
-    zero_blocks: tuple[int, ...]
-    k: int
-    d_min: int
-    delta_before: Fraction
-    delta_after: Fraction
-    ratio: Fraction
-    improved: bool
-
-
 def mmp_compare(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """Contract zero blocks and compare normalized distances exactly.
 
     The distance is enumerated once on the contracted code; the original
     shares it because only zero coordinates were removed. The improvement
     ratio equals the length ratio before over after, which exceeds one
-    precisely when some block was contracted. Returns INFEASIBLE when the
-    enumeration does not fit the budget.
+    precisely when some block was contracted. Returns the contraction
+    report with that distance, or INFEASIBLE when the enumeration does not
+    fit the budget.
     """
     contracted, report = zero_block_contract(code)
-    if report.empty_code or code.k < 1:
+    if report.n_points_after == 0 or code.k < 1:
         raise EmptyCode("nothing left after contraction")
     d = min_distance(contracted, budget)
     if d is INFEASIBLE:
         return INFEASIBLE
     if code.d_min is None:
         code.d_min = d  # inherited: removed coordinates were zero
-    n_before = code.num_points
-    n_after = report.n_points_after
-    delta_before = Fraction(d, code.r * n_before)
-    delta_after = Fraction(d, code.r * n_after)
-    ratio = delta_after / delta_before
-    assert ratio == Fraction(n_before, n_after)
-    return ComparisonReport(
-        n_points_before=n_before,
-        n_points_after=n_after,
-        zero_blocks=report.zero_blocks,
-        k=code.k,
-        d_min=d,
-        delta_before=delta_before,
-        delta_after=delta_after,
-        ratio=ratio,
-        improved=bool(report.zero_blocks),
-    )
+    report = _contraction_report(code, report.zero_blocks, d)
+    assert report.ratio == Fraction(report.n_points_before, report.n_points_after)
+    return report
 
 
 def append_zero_blocks(code: LinearCode, points) -> LinearCode:

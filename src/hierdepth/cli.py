@@ -19,7 +19,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -76,8 +75,8 @@ def _int(value, field_name: str, message: str) -> int:
         raise CliInputError(field_name, message)
 
 
-def _degrees(opts) -> list[int]:
-    degrees = _int_list(opts["degrees"] or "", "degrees")
+def _degrees(ns) -> list[int]:
+    degrees = _int_list(ns.degrees or "", "degrees")
     if not degrees:
         raise CliInputError("degrees", "need at least one degree")
     return degrees
@@ -102,26 +101,26 @@ def _depth_value(v):
     return None if v is depth.NO_FILTRATION else v
 
 
-def _cmd_depth(opts, seed):
-    if opts.get("curve"):
-        if opts.get("bundle") or opts.get("surface"):
+def _cmd_depth(ns):
+    if ns.curve:
+        if ns.bundle or ns.surface:
             raise CliInputError("curve", "choose either --curve or --surface")
-        degrees = _degrees(opts)
-        d0 = _int(opts["lambda0"], "lambda0", "expected an integer degree")
+        degrees = _degrees(ns)
+        d0 = _int(ns.lambda0, "lambda0", "expected an integer degree")
         lower = upper = _depth_value(depth.curve_split_depth(degrees, d0))
         name, lattice = "curve", Lattice.curve()
         det, lam = lattice.divisor(sum(degrees)), lattice.divisor(d0)
     else:
-        name = opts.get("surface")
+        name = ns.surface
         if name not in ("p2", "p1xp1"):
             raise CliInputError("surface", "expected p2 or p1xp1 (or use --curve)")
         lattice = Lattice.p2() if name == "p2" else Lattice.p1xp1()
         try:
-            b = parse_bundle(opts["bundle"] or "", lattice)
+            b = parse_bundle(ns.bundle or "", lattice)
         except ValueError as e:
             raise CliInputError("bundle", str(e))
         try:
-            lam = parse_class(opts["lambda0"] or "", lattice)
+            lam = parse_class(ns.lambda0 or "", lattice)
         except ValueError as e:
             raise CliInputError("lambda0", str(e))
         lower, upper = map(_depth_value, depth.surface_split_depth(b, lam))
@@ -131,7 +130,6 @@ def _cmd_depth(opts, seed):
     else:
         bound = upper
     return {
-        "subcommand": "depth",
         "lattice": name,
         "det": det.notation(),
         "lambda0": lam.notation(),
@@ -140,38 +138,33 @@ def _cmd_depth(opts, seed):
         "upper": upper,
         "value": lower if lower == upper else None,
         "status": "ok" if upper is not None else "no-filtration",
-        "seed": seed,
     }
 
 
-def _cmd_mmp_depth(opts, seed):
-    hmin = _int(opts["hmin"], "hmin", "expected an integer")
+def _cmd_mmp_depth(ns):
+    hmin = _int(ns.hmin, "hmin", "expected an integer")
     if hmin < 0:
         raise CliInputError("hmin", f"must be nonnegative, got {hmin}")
-    alpha = _int_list(opts["alpha"] or "", "alpha")
-    beta = _int_list(opts["beta"] or "", "beta")
+    alpha = _int_list(ns.alpha or "", "alpha")
+    beta = _int_list(ns.beta or "", "beta")
     value = depth.mmp_exact_depth(hmin, alpha, beta)
     return {
-        "subcommand": "mmp-depth",
         "hmin": hmin,
         "alpha": alpha,
         "beta": beta,
         "value": value,
         "status": "ok",
-        "seed": seed,
     }
 
 
-def _cmd_filtration(opts, seed):
-    p = _int(opts["field"], "field", "expected a prime integer")
-    degrees = _degrees(opts)
-    lam = _int(opts["lambda0"], "lambda0", "expected an integer degree")
+def _cmd_filtration(ns):
+    p = _int(ns.field, "field", "expected a prime integer")
+    degrees = _degrees(ns)
+    lam = _int(ns.lambda0, "lambda0", "expected an integer degree")
     base = {
-        "subcommand": "filtration",
         "field": p,
         "degrees": degrees,
         "lambda0": lam,
-        "seed": seed,
     }
     try:
         filt, chain = hecke.build_curve_filtration(degrees, lam, p)
@@ -206,16 +199,16 @@ def _hecke_point(text: str, field_name: str) -> hecke.RationalPoint:
     return hecke.RationalPoint.affine(_int(t, field_name, message))
 
 
-def _cmd_hecke_verify(opts, seed):
-    p = _int(opts["field"], "field", "expected a prime integer")
-    degrees = _degrees(opts)
-    raw_points = (opts["points"] or "").split(",")
+def _cmd_hecke_verify(ns):
+    p = _int(ns.field, "field", "expected a prime integer")
+    degrees = _degrees(ns)
+    raw_points = (ns.points or "").split(",")
     if len(raw_points) != 2:
         raise CliInputError("points", "expected exactly two points, e.g. 0,1")
     pts = [_hecke_point(t, "points") for t in raw_points]
     model = hecke.full_sections(degrees, p)
-    if opts.get("covectors"):
-        parts = opts["covectors"].split(";")
+    if ns.covectors:
+        parts = ns.covectors.split(";")
         if len(parts) != 2:
             raise CliInputError("covectors", "expected two covectors, e.g. 1,0;0,1")
         covs = [_int_list(t, "covectors") for t in parts]
@@ -232,7 +225,6 @@ def _cmd_hecke_verify(opts, seed):
         functionals = [hecke.first_usable_covector(model, pt) for pt in pts]
     report = hecke.commute_check(model, functionals[0], functionals[1])
     return {
-        "subcommand": "hecke-verify",
         "field": p,
         "degrees": degrees,
         "points": [pt.label() for pt in pts],
@@ -244,30 +236,18 @@ def _cmd_hecke_verify(opts, seed):
         },
         "equal": report.equal,
         "status": "ok",
-        "seed": seed,
     }
 
 
-@dataclass
-class CodeConfig:
-    """Parsed flat key-value description of an evaluation code."""
-
-    p: int
-    space: str
-    summands: list
-    points: list
-    exceptional: list
-    budget: int
-
-
-def parse_code_config(path: str) -> CodeConfig:
-    """Read a flat key = value file describing a code.
+def parse_code_config(path: str):
+    """Read a flat key = value file describing a code; return (space, code, budget).
 
     Recognized keys: p, space, summand (repeatable), points, exclude
     (repeatable), exceptional (repeatable), budget. A summand value is
     'degree' or 'degree; pt@order, pt@order, ...' with pt written as
     colon-separated coordinates. points is either 'all-rational' or an
-    explicit comma-separated point list.
+    explicit comma-separated point list. The section bases and the code
+    are built only after every line has been checked.
     """
     values = {"summand": [], "exclude": [], "exceptional": []}
     try:
@@ -336,28 +316,14 @@ def parse_code_config(path: str) -> CodeConfig:
     budget = _int(text, "budget", f"expected an integer, got {text!r}")
     if budget <= 0:
         raise CliInputError("budget", f"must be positive, got {budget}")
-    return CodeConfig(
-        p=p,
-        space=space,
-        summands=summands,
-        points=points,
-        exceptional=exceptional,
-        budget=budget,
-    )
+    bases = [vanishing_basis(degree, conditions, space, p) for degree, conditions in summands]
+    return space, build_code(bases, points, p, exceptional=exceptional), budget
 
 
-def _build_from_config(cfg: CodeConfig):
-    bases = [
-        vanishing_basis(degree, conditions, cfg.space, cfg.p)
-        for degree, conditions in cfg.summands
-    ]
-    return build_code(bases, cfg.points, cfg.p, exceptional=cfg.exceptional)
-
-
-def _code_summary(cfg: CodeConfig, code) -> dict:
+def _code_summary(space: str, code) -> dict:
     return {
-        "p": cfg.p,
-        "space": cfg.space,
+        "p": code.p,
+        "space": space,
         "r": code.r,
         "N": code.num_points,
         "n": code.n,
@@ -367,17 +333,14 @@ def _code_summary(cfg: CodeConfig, code) -> dict:
     }
 
 
-def _cmd_code_build(opts, seed):
-    cfg = parse_code_config(opts["config"])
-    code = _build_from_config(cfg)
-    out = {"subcommand": "code-build", "status": "ok", "seed": seed}
-    out.update(_code_summary(cfg, code))
-    export = opts.get("export_generator")
-    if export:
-        _write_over(export, "".join(
+def _cmd_code_build(ns):
+    space, code, _ = parse_code_config(ns.config)
+    out = {"status": "ok", **_code_summary(space, code)}
+    if ns.export_generator:
+        _write_over(ns.export_generator, "".join(
             " ".join(str(v) for v in row) + "\n" for row in code.generator.tolist()
         ))
-        out["generator_file"] = export
+        out["generator_file"] = ns.export_generator
     return out
 
 
@@ -397,12 +360,10 @@ def _write_over(path: str, text: str) -> None:
             os.ftruncate(fh.fileno(), len(data))
 
 
-def _cmd_code_analyze(opts, seed):
-    cfg = parse_code_config(opts["config"])
-    code = _build_from_config(cfg)
-    out = {"subcommand": "code-analyze", "status": "ok", "seed": seed}
-    out.update(_code_summary(cfg, code))
-    comparison = mmp_compare(code, budget=cfg.budget)
+def _cmd_code_analyze(ns):
+    space, code, budget = parse_code_config(ns.config)
+    out = {"status": "ok", **_code_summary(space, code)}
+    comparison = mmp_compare(code, budget=budget)
     if comparison is INFEASIBLE:
         out.update({"d_min": "infeasible", "delta": None, "mmp": None})
         return out
@@ -418,16 +379,10 @@ def _cmd_code_analyze(opts, seed):
     return out
 
 
-def _cmd_mmp_compare(opts, seed):
-    cfg = parse_code_config(opts["config"])
-    code = _build_from_config(cfg)
-    out = {
-        "subcommand": "mmp-compare",
-        "p": cfg.p,
-        "r": code.r,
-        "seed": seed,
-    }
-    comparison = mmp_compare(code, budget=cfg.budget)
+def _cmd_mmp_compare(ns):
+    _, code, budget = parse_code_config(ns.config)
+    out = {"p": code.p, "r": code.r}
+    comparison = mmp_compare(code, budget=budget)
     if comparison is INFEASIBLE:
         out.update({
             "status": "infeasible",
@@ -455,17 +410,6 @@ def _cmd_mmp_compare(opts, seed):
     return out
 
 
-_COMMANDS = {
-    "depth": _cmd_depth,
-    "mmp-depth": _cmd_mmp_depth,
-    "filtration": _cmd_filtration,
-    "hecke-verify": _cmd_hecke_verify,
-    "code-build": _cmd_code_build,
-    "code-analyze": _cmd_code_analyze,
-    "mmp-compare": _cmd_mmp_compare,
-}
-
-
 @cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and reused after."""
@@ -475,6 +419,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand")
 
     d = sub.add_parser("depth", description="Depth bounds for a split bundle.")
+    d.set_defaults(run=_cmd_depth)
     d.add_argument("--curve", action="store_true")
     d.add_argument("--surface", choices=("p2", "p1xp1"))
     d.add_argument("--degrees")
@@ -482,23 +427,28 @@ def _build_parser() -> _Parser:
     d.add_argument("--lambda0", required=True)
 
     m = sub.add_parser("mmp-depth", description="Depth through a blowup chain.")
+    m.set_defaults(run=_cmd_mmp_depth)
     m.add_argument("--hmin", required=True)
     m.add_argument("--alpha", required=True)
     m.add_argument("--beta", required=True)
 
     f = sub.add_parser("filtration", description="Build a maximal chain on the line.")
+    f.set_defaults(run=_cmd_filtration)
     f.add_argument("--field", required=True)
     f.add_argument("--degrees", required=True)
     f.add_argument("--lambda0", required=True)
 
     h = sub.add_parser("hecke-verify", description="Compare transform routes.")
+    h.set_defaults(run=_cmd_hecke_verify)
     h.add_argument("--field", required=True)
     h.add_argument("--degrees", required=True)
     h.add_argument("--points", required=True)
     h.add_argument("--covectors")
 
-    for name in ("code-build", "code-analyze", "mmp-compare"):
+    for name, run in (("code-build", _cmd_code_build), ("code-analyze", _cmd_code_analyze),
+                      ("mmp-compare", _cmd_mmp_compare)):
         c = sub.add_parser(name)
+        c.set_defaults(run=run)
         c.add_argument("--config", required=True)
         if name == "code-build":
             c.add_argument("--export-generator", dest="export_generator")
@@ -528,11 +478,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if not ns.subcommand:
             raise CliInputError("subcommand", "no subcommand given")
-        options = {
-            k: v for k, v in vars(ns).items()
-            if k not in ("subcommand", "format", "seed")
-        }
-        report = _COMMANDS[ns.subcommand](options, ns.seed)
+        report = {"subcommand": ns.subcommand, "seed": ns.seed, **ns.run(ns)}
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -171,14 +171,14 @@ def _rref_array(a: np.ndarray, p: int) -> np.ndarray:
 def _is_rref(a: np.ndarray) -> bool:
     """Whether a reduced array is in reduced echelon form with no zero rows.
 
-    Leading entries must sit in strictly increasing columns, and each
-    leading column must be the matching unit vector. Linear in a's size.
+    Leading entries must sit in strictly increasing columns, equal one,
+    and be the only nonzero entry of their column. Linear in a's size.
     """
-    k = a.shape[0]
     lead = (a != 0).argmax(axis=1)
     return bool(
         (np.diff(lead) > 0).all()
-        and np.array_equal(a[:, lead], np.eye(k, dtype=a.dtype))
+        and (a[np.arange(a.shape[0]), lead] == 1).all()
+        and (np.count_nonzero(a, axis=0)[lead] == 1).all()
     )
 
 

@@ -488,6 +488,18 @@ class TestScaledContractionInstance:
         assert rep.improved
         assert code.d_min == 4  # inherited across the zero coordinates
 
+    def test_unknown_distance_leaves_the_deltas_unset(self):
+        _, report = zero_block_contract(scaled_instance())
+        assert report.zero_blocks == (10, 11)
+        assert report.d_min is None
+        assert (report.delta_before, report.delta_after, report.ratio) == (None, None, None)
+
+    def test_known_distance_gives_the_comparison_report(self):
+        code = scaled_instance()
+        min_distance(code)
+        _, report = zero_block_contract(code)
+        assert report == mmp_compare(code)
+
 
 class TestContractionRandomized:
     def test_fifty_padded_instances(self):

@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, schemas, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -500,6 +501,26 @@ def test_readme_cli_examples_answer(tmp_path, monkeypatch):
         report_of(argv[1:])
 
 
+def _envelope_dicts(node):
+    return sum(
+        isinstance(n, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value in ("seed", "subcommand") for k in n.keys
+        )
+        for n in ast.walk(node)
+    )
+
+
+def test_envelope_keys_sit_where_pinned():
+    # main adds "subcommand" and "seed" to every report; a handler that
+    # wrote them too would make two owners of the envelope.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    found = {f.name for f in functions if _envelope_dicts(f)}
+    if _envelope_dicts(tree) > sum(_envelope_dicts(f) for f in functions):
+        found.add("<module>")
+    assert found == {"main"}
+
+
 class TestOutputDiscipline:
     def test_reports_are_deterministic(self):
         argv = ["filtration", "--field", "7", "--degrees", "2,1", "--lambda0", "-1"]
@@ -530,9 +551,20 @@ class TestOutputDiscipline:
         default = json.loads(reused[1][1])["covectors"]
         assert default != json.loads(reused[0][1])["covectors"]
 
-    def test_seed_is_echoed(self):
-        rep = report_of(["--seed", "3", "depth", "--curve", "--degrees", "2,1", "--lambda0", "0"])
-        assert rep["seed"] == 3
+    @pytest.mark.parametrize("argv", [
+        ["depth", "--curve", "--degrees", "2,1", "--lambda0", "0"],
+        ["mmp-depth", "--hmin", "1", "--alpha", "1", "--beta", "1"],
+        ["filtration", "--field", "7", "--degrees", "2,1", "--lambda0", "0"],
+        ["hecke-verify", "--field", "7", "--degrees", "2,1", "--points", "0,1"],
+        ["code-build", "--config"],
+        ["code-analyze", "--config"],
+        ["mmp-compare", "--config"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_is_echoed(self, tmp_path, argv):
+        if argv[-1] == "--config":
+            argv = argv + [write_config(tmp_path, RS_CFG)]
+        rep = report_of(["--seed", "3", *argv])
+        assert (rep["seed"], rep["subcommand"]) == (3, argv[0])
 
     def test_text_format_is_flat_and_sorted(self):
         rc, out, _ = run(

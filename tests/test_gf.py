@@ -326,6 +326,44 @@ def test_rref_matches_rowwise_elimination(p, r, c, rnd):
     st.sampled_from(MATRIX_FIELDS),
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=1, max_value=8),
+    st.sampled_from(
+        ["raw", "echelon", "scaled pivot", "extra in lead column", "zero row", "swapped rows"]
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_is_rref_matches_its_definition(p, r, c, shape, rnd):
+    # Echelon forms of rank min(r, c) and their near misses; r = 0 gives
+    # the empty array.
+    if shape == "raw":
+        data = [[rnd.randrange(p) if rnd.random() < 0.6 else 0 for _ in range(c)]
+                for _ in range(r)]
+    else:
+        leads = sorted(rnd.sample(range(c), min(r, c)))
+        data = [[0] * c for _ in leads]
+        for row, lead in zip(data, leads):
+            row[lead] = 1
+            for col in range(lead + 1, c):
+                if col not in leads:
+                    row[col] = rnd.randrange(p)
+    i = rnd.randrange(1, len(data)) if len(data) > 1 else 0
+    if shape == "scaled pivot" and data:
+        data[i] = [2 * x % p for x in data[i]]
+    elif shape == "extra in lead column" and i:
+        # the row above gains an entry in row i's lead column; its own lead stays
+        data[i - 1][leads[i]] = rnd.randrange(1, p)
+    elif shape == "zero row":
+        data.insert(i, [0] * c)
+    elif shape == "swapped rows" and i:
+        data[i - 1], data[i] = data[i], data[i - 1]
+    a = np.array(data, dtype=np.int64).reshape(len(data), c)
+    expect = rref_rowwise(data, p) == data and all(any(row) for row in data)
+    assert gf._is_rref(a) == expect
+
+
+@given(
+    st.sampled_from(MATRIX_FIELDS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=8),
     st.sampled_from(["sparse", "zero", "full"]),
     st.randoms(use_true_random=False),
 )
