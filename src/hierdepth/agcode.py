@@ -14,10 +14,14 @@ bundle through the blowdown. Contraction keeps the dimension and the exact
 minimum distance while shortening the length, so the normalized distance
 improves by the ratio of the lengths.
 
-The minimum distance is exact and exhaustive: min_distance visits every
-projective message class, and counts zero coordinates with float32
-products of 0/1 entries whose sums stay at most n < 2**24, so no rounding
-can occur; its table of combinations is at most 1 MiB.
+The minimum distance is exact and exhaustive. The budget counts the
+projective message classes of the whole code; within it, min_distance
+splits the echelon generator into connected components (none spans two
+summands, since coordinates i, i + r, ... carry only summand i) and visits
+every projective class of each component, which is a direct summand. It
+counts zero coordinates with float32 products of 0/1 entries whose sums
+stay at most n < 2**24, so no rounding can occur; its table of
+combinations is at most 1 MiB.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ MAX_POINTS = 2**18
 # Most monomials one summand may have: degree 89 on P2, 4095 on P1. P2 at
 # degree 89 with two vanishing points builds in about half a second.
 MAX_MONOMIALS = 2**12
+# Most condition functionals x monomials one summand may have. Each
+# functional is one kernel step over the monomials: P2 at degree 89 (4095
+# monomials) with 28 functionals builds in about 0.7 s, and with 55 in 1.2 s.
+MAX_FUNCTIONAL_CELLS = 2**17
 
 # Homogeneous coordinates of a point, per space.
 SPACES = {"P1": 2, "P2": 3}
@@ -68,6 +76,11 @@ def monomial_exponents(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
 def normalize_point(coords, p: int) -> tuple[int, ...]:
     """Scale so the first nonzero coordinate is one."""
     Field(p)
+    return _normalize(coords, p)
+
+
+def _normalize(coords, p: int) -> tuple[int, ...]:
+    """normalize_point for callers that have already checked p."""
     pt = tuple(int(c) % p for c in coords)
     for c in pt:
         if c:
@@ -132,26 +145,22 @@ def _derivative_multi_indices(nvars_affine: int, order: int):
     return [(i, j) for i in range(order) for j in range(order - i)]
 
 
-def _condition_rows(degree, space, cond: VanishingCondition, p):
-    """Divided-power derivative functionals of order below cond.order.
+def _condition_rows(degree, space, point, order, p):
+    """Divided-power derivative functionals of order below `order`.
 
     The point is normalized, the chart with coordinate one is
     dehomogenized away, and each functional evaluates a Hasse derivative
     of the dehomogenized form at the remaining affine coordinates. In
     small characteristic the binomial factors implement divided powers,
     so order-o vanishing is characterized correctly even when o exceeds p.
-    Orders above the degree add nothing, since every Hasse derivative of
-    total order above d vanishes on degree-d forms; the order is clamped
-    at d + 1.
     """
     nvars = SPACES[space]
-    pt = normalize_point(cond.point, p)
+    pt = _normalize(point, p)
     chart = next(i for i, c in enumerate(pt) if c)
     affine_vars = [v for v in range(nvars) if v != chart]
     coords = [pt[v] for v in affine_vars]
     monos = monomial_exponents(degree, nvars)
     rows = []
-    order = min(cond.order, degree + 1)
     for multi in _derivative_multi_indices(len(affine_vars), order):
         row = []
         for expo in monos:
@@ -172,21 +181,33 @@ def vanishing_basis(degree: int, conditions, space: str,
     """Basis of the degree-d forms meeting all vanishing conditions.
 
     The dimension is the count of degree-d monomials minus the number of
-    independent condition functionals. Raises TooLarge, before anything is
-    allocated, when there are more than MAX_MONOMIALS monomials.
+    independent condition functionals. Orders above the degree add nothing,
+    since every Hasse derivative of total order above d vanishes on
+    degree-d forms, so each order is clamped at d + 1. Raises TooLarge,
+    before anything is allocated, when there are more than MAX_MONOMIALS
+    monomials or more than MAX_FUNCTIONAL_CELLS functionals x monomials.
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     Field(p)
-    count = comb(max(degree, 0) + SPACES[space] - 1, SPACES[space] - 1)
+    nvars = SPACES[space]
+    count = comb(max(degree, 0) + nvars - 1, nvars - 1)
     if count > MAX_MONOMIALS:
         raise TooLarge(
             f"degree {degree} on {space} has {count} monomials, above the cap {MAX_MONOMIALS}"
         )
-    monos = monomial_exponents(degree, SPACES[space])
+    clamped = [(cond.point, min(cond.order, degree + 1)) for cond in conditions]
+    # order o gives one functional per multi-index of total order below o
+    functionals = sum(comb(o + nvars - 2, nvars - 1) for _, o in clamped)
+    if functionals * count > MAX_FUNCTIONAL_CELLS:
+        raise TooLarge(
+            f"{functionals} condition functionals over {count} monomials exceed"
+            f" the cap of {MAX_FUNCTIONAL_CELLS} cells"
+        )
+    monos = monomial_exponents(degree, nvars)
     rows = []
-    for cond in conditions:
-        rows.extend(_condition_rows(degree, space, cond, p))
+    for point, order in clamped:
+        rows.extend(_condition_rows(degree, space, point, order, p))
     basis = gf.kernel_basis(FMatrix(p, rows, cols=len(monos)))
     return SectionBasis(space=space, degree=degree, p=p, basis=basis)
 
@@ -255,13 +276,13 @@ def build_code(bases, points, p: int, exceptional=()) -> LinearCode:
         if b.space != space:
             raise ValueError("section bases on different spaces")
     Field(p)
-    regular = [normalize_point(pt, p) for pt in points]
+    regular = [_normalize(pt, p) for pt in points]
     seen = set()
     for pt in regular:
         if pt in seen:
             raise DuplicatePoint(f"repeated evaluation point {pt}")
         seen.add(pt)
-    extra = [normalize_point(pt, p) for pt in exceptional]
+    extra = [_normalize(pt, p) for pt in exceptional]
     allpts = regular + extra
     message_dim = sum(b.dim for b in bases)
     if message_dim == 0:
@@ -309,29 +330,47 @@ def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
+def _components(reduced: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column masks of the connected components of an echelon matrix.
+
+    Two rows are linked when they share a nonzero column; a component's
+    columns are the union of its rows' supports, so all-zero columns lie in
+    none. Found by boolean sweeps: the rows meeting the columns so far, then
+    the columns those rows meet, until the rows stop growing.
+    """
+    nonzero = reduced != 0
+    left = np.ones(len(reduced), dtype=bool)
+    parts = []
+    while left.any():
+        rows = np.zeros_like(left)
+        rows[left.argmax()] = True
+        while True:
+            cols = nonzero[rows].any(axis=0)
+            grown = nonzero[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        left &= ~rows
+        parts.append((rows, cols))
+    return parts
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """Exact minimum weight by projective enumeration of the message space.
 
     Scaling a message scales the codeword, so one representative per
     projective class suffices: messages whose first nonzero entry is one,
     (p**k - 1) / (p - 1) of them over an echelon generator of rank k.
-    Returns INFEASIBLE without enumerating when the class count exceeds
-    the budget; otherwise caches the result on the code.
+    Returns INFEASIBLE without enumerating when that count, for the whole
+    code, exceeds the budget; otherwise caches the result on the code.
 
-    The enumeration is exhaustive. The last t echelon rows are tabulated
-    once: all p**t of their combinations, as a one-hot float32 table with
-    a 1 at (j * p + value at j, combination), at most TABLE_CELLS = 2**18
-    cells (1 MiB). The classes with a zero head are the table's nonzero
-    rows. Every other class is a head class (lead row plus later head
-    rows) plus one table row. The table holds -x with every row x, so
-    these classes are the differences w - x of a head word w and a table
-    row x, and w - x is zero at j exactly where w_j = x_j. One product of
-    the head words' one-hot rows with the table counts those coordinates
-    for every pair, so a chunk of head classes costs one float32 matrix
-    product. It is exact: every entry is 0 or 1 and every sum is at most
-    n < 2**24, which float32 holds whatever the summation order. When no
-    row fits the table (t = 0, as for large p), each head word's weight
-    is counted directly.
+    Within the budget the echelon generator is split into its connected
+    components (rows linked by a shared nonzero column). The code is their
+    direct sum: weights add across components and all-zero columns never
+    count, so d is the least component distance. A component is its rows
+    restricted to its columns, which is again in echelon form, and each is
+    enumerated on its own: sum (p**k_i - 1) / (p - 1) classes instead of
+    (p**k - 1) / (p - 1). A code with one component is enumerated whole.
     """
     if code.k < 1:
         raise EmptyCode("code has no nonzero codeword")
@@ -339,9 +378,36 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
         return code.d_min
     p = code.p
     reduced = gf.rref(code.generator).array  # k x n, independent rows
-    k, n = reduced.shape
-    if _projective_class_count(p, k) > budget:
+    if _projective_class_count(p, len(reduced)) > budget:
         return INFEASIBLE
+    parts = _components(reduced)
+    if len(parts) > 1:
+        best = min(_min_weight(reduced[np.ix_(rows, cols)], p) for rows, cols in parts)
+    else:
+        best = _min_weight(reduced, p)
+    code.d_min = best
+    return best
+
+
+def _min_weight(reduced: np.ndarray, p: int) -> int:
+    """Least weight of a nonzero codeword of a k x n echelon generator.
+
+    The enumeration is exhaustive over the projective classes. The last t
+    echelon rows are tabulated once: all p**t of their combinations, as a
+    one-hot float32 table with a 1 at (j * p + value at j, combination), at
+    most TABLE_CELLS = 2**18 cells (1 MiB). The classes with a zero head
+    are the table's nonzero rows. Every other class is a head class (lead
+    row plus later head rows) plus one table row. The table holds -x with
+    every row x, so these classes are the differences w - x of a head word
+    w and a table row x, and w - x is zero at j exactly where w_j = x_j.
+    One product of the head words' one-hot rows with the table counts those
+    coordinates for every pair, so a chunk of head classes costs one
+    float32 matrix product. It is exact: every entry is 0 or 1 and every
+    sum is at most n < 2**24, which float32 holds whatever the summation
+    order. When no row fits the table (t = 0, as for large p), each head
+    word's weight is counted directly.
+    """
+    k, n = reduced.shape
     t = 0
     if n < _EXACT_FLOAT32:
         while t < k and p ** (t + 2) * n <= TABLE_CELLS:
@@ -374,7 +440,6 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
                 low = int(np.count_nonzero(words, axis=1).min())
             if low < best:
                 best = low
-    code.d_min = best
     return best
 
 
@@ -501,16 +566,16 @@ def append_zero_blocks(code: LinearCode, points) -> LinearCode:
     Used to model extra evaluation slots that no section reaches. The
     distance is left unset on the result.
     """
-    extra = [normalize_point(pt, code.p) for pt in points]
+    points = list(points)
     arr = code.generator.array
-    pad = np.zeros((arr.shape[0], code.r * len(extra)), dtype=np.int64)
+    pad = np.zeros((arr.shape[0], code.r * len(points)), dtype=np.int64)
+    generator = FMatrix(code.p, np.hstack([arr, pad]), cols=arr.shape[1] + pad.shape[1])
+    extra = [_normalize(pt, code.p) for pt in points]  # p checked by FMatrix
     return LinearCode(
         p=code.p,
         r=code.r,
         points=code.points + tuple(extra),
-        generator=FMatrix(
-            code.p, np.hstack([arr, pad]), cols=arr.shape[1] + pad.shape[1]
-        ),
+        generator=generator,
         k=code.k,
         message_dim=code.message_dim,
     )

@@ -154,6 +154,18 @@ def test_rational_point_listing_is_capped(space, p, count):
         assert len(all_rational_points(space, p)) == count
 
 
+@pytest.mark.parametrize("order, refused", [(256, False), (257, True)])
+def test_condition_functionals_are_capped(order, refused):
+    # P1 at degree 511 has 512 monomials; order o gives o functionals
+    assert 256 * 512 == agcode.MAX_FUNCTIONAL_CELLS
+    conds = [VanishingCondition((1, 0), order)]
+    if refused:
+        with pytest.raises(TooLarge):
+            vanishing_basis(511, conds, "P1", 5)
+    else:
+        assert vanishing_basis(511, conds, "P1", 5).dim == 512 - order
+
+
 class TestVanishingSpaces:
     def test_dimension_ladder_through_a_point(self):
         conds = [VanishingCondition((1, 2, 3))]
@@ -431,6 +443,107 @@ class TestEnumerationEngine:
         b = vanishing_basis(3, [], "P1", 5)
         code = build_code([b], all_rational_points("P1", 5), 5)
         assert min_distance(code, budget=(5**4 - 1) // 4 - 1) is INFEASIBLE
+        assert code.d_min is None
+
+
+def components(code):
+    return agcode._components(gf.rref(code.generator).array)
+
+
+@st.composite
+def direct_sums(draw):
+    """Direct sums of 2 to 4 random codes, with zero columns, columns shuffled.
+
+    Returns the code and the number of summands of nonzero rank, a lower
+    bound on its component count.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    count = draw(st.integers(2, 4))
+    entry = st.integers(0, p - 1)
+    room = ORACLE_DIMS[p]
+    blocks = []
+    for i in range(count):
+        dims = draw(st.integers(1, room - (count - 1 - i)))
+        room -= dims
+        width = draw(st.integers(1, 6))
+        blocks.append([[draw(entry) for _ in range(width)] for _ in range(dims)])
+    widths = [len(block[0]) for block in blocks]
+    n = sum(widths) + draw(st.integers(0, 3))  # the rest are zero columns
+    order = draw(st.permutations(range(n)))
+    rows, start = [], 0
+    for block, width in zip(blocks, widths):
+        for row in block:
+            word = [0] * n
+            for j, x in enumerate(row):
+                word[order[start + j]] = x
+            rows.append(word)
+        start += width
+    ranked = sum(1 for block in blocks if oracle_rank(block, p))
+    return line_code(p, rows, n), ranked
+
+
+@st.composite
+def indecomposable_codes(draw):
+    """[I | A] with a column of A nonzero in every row, columns shuffled."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, ORACLE_DIMS[p]))
+    extra = draw(st.integers(0, 4))
+    nonzero = st.integers(1, p - 1)
+    rows = [
+        [int(i == j) for j in range(k)] + [draw(nonzero)]
+        + [draw(st.integers(0, p - 1)) for _ in range(extra)]
+        for i in range(k)
+    ]
+    order = draw(st.permutations(range(k + 1 + extra)))
+    return line_code(p, [[row[j] for j in order] for row in rows], len(order))
+
+
+class TestDirectSums:
+    """Each connected component enumerated on its own, against brute force."""
+
+    @pytest.mark.parametrize("table", ["default", "none"])
+    @given(case=direct_sums())
+    def test_direct_sums_split_and_match_the_oracle(self, table, case):
+        code, ranked = case
+        if code.k == 0:
+            return
+        assert len(components(code)) >= ranked
+        cells = agcode.TABLE_CELLS if table == "default" else 0
+        with patch.object(agcode, "TABLE_CELLS", cells):
+            assert min_distance(code) == oracle_min_weight(code)
+
+    @given(code=indecomposable_codes())
+    def test_indecomposable_codes_match_the_oracle(self, code):
+        assert len(components(code)) == 1
+        assert min_distance(code) == oracle_min_weight(code)
+
+    def test_a_word_at_the_singleton_bound_does_not_end_the_search(self):
+        # n - k + 1 bounds d from above, not below: the first lead row's
+        # words all weigh 7 = 8 - 2 + 1, and the second row alone weighs 2
+        p = 65537
+        rows = [[1, 0, 1, 1, 1, 1, 1, 1], [0, 1, 1, 0, 0, 0, 0, 0]]
+        code = line_code(p, rows, 8)
+        assert len(components(code)) == 1
+        assert min_distance(code, budget=p + 1) == 2
+
+    def test_every_summand_of_a_built_code_is_split(self):
+        pts = all_rational_points("P1", 5)[:4]
+        bases = [vanishing_basis(d, [], "P1", 5) for d in (1, 2)]
+        code = build_code(bases, pts, 5)
+        assert len(components(code)) >= 2
+        assert min_distance(code) == oracle_min_weight(code) == 2
+
+    def test_the_gate_counts_the_whole_code(self, monkeypatch):
+        # criterion 8's code: three components, 5.5e12 classes in all
+        def refuse(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(agcode, "_combinations", refuse)
+        pt = (1, 2, 3)
+        bases = [vanishing_basis(d, [VanishingCondition(pt)], "P2", 7) for d in (3, 2, 1)]
+        code = build_code(bases, [q for q in all_rational_points("P2", 7) if q != pt], 7)
+        assert code.k == 16 and len(components(code)) == 3
+        assert min_distance(code) is INFEASIBLE
         assert code.d_min is None
 
 

@@ -215,8 +215,8 @@ def _raw_product(node):
 
 def test_raw_products_sit_where_pinned():
     # dot_mod is the exact kernel. agcode._evaluate keeps a raw int64
-    # product whose sums overflow near 2**31, and min_distance's float32
-    # product counts 0/1 entries. A new raw product belongs in dot_mod.
+    # product whose sums overflow near 2**31, and the distance enumerator's
+    # float32 product counts 0/1 entries. A new raw product belongs in dot_mod.
     found = set()
     for path in sorted(Path(gf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -224,7 +224,7 @@ def test_raw_products_sit_where_pinned():
                 _raw_product(n) for n in ast.walk(node)
             ):
                 found.add(f"{path.stem}.{node.name}")
-    assert found == {"gf.dot_mod", "agcode._evaluate", "agcode.min_distance"}
+    assert found == {"gf.dot_mod", "agcode._evaluate", "agcode._min_weight"}
 
 
 def _trusted_refs(node):
