@@ -49,10 +49,13 @@ MAX_POINTS = 2**18
 # Most monomials one summand may have: degree 89 on P2, 4095 on P1. P2 at
 # degree 89 with two vanishing points builds in about half a second.
 MAX_MONOMIALS = 2**12
-# Most condition functionals x monomials one summand may have. Each
-# functional is one kernel step over the monomials: P2 at degree 89 (4095
-# monomials) with 28 functionals builds in about 0.7 s, and with 55 in 1.2 s.
-MAX_FUNCTIONAL_CELLS = 2**17
+# Most condition functionals x monomials**2 one summand may have. Each
+# functional is one kernel step over a basis of at most monomials x monomials
+# cells, at 0.6 to 3 ns per cell: P2 at degree 89 (4095 monomials) with 55
+# functionals (9.2e8 cells) builds in 1.2 s, P2 at degree 30 with an order-30
+# point (1.1e8) in 0.12 s, and P1 at degree 1023 with an order-1024 point
+# (1.07e9, exactly the cap) in 3.3 s.
+MAX_FUNCTIONAL_CELLS = 2**30
 
 # Homogeneous coordinates of a point, per space.
 SPACES = {"P1": 2, "P2": 3}
@@ -184,8 +187,9 @@ def vanishing_basis(degree: int, conditions, space: str,
     independent condition functionals. Orders above the degree add nothing,
     since every Hasse derivative of total order above d vanishes on
     degree-d forms, so each order is clamped at d + 1. Raises TooLarge,
-    before anything is allocated, when there are more than MAX_MONOMIALS
-    monomials or more than MAX_FUNCTIONAL_CELLS functionals x monomials.
+    before any condition row is built, when there are more than
+    MAX_MONOMIALS monomials or more than MAX_FUNCTIONAL_CELLS functionals x
+    monomials**2.
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
@@ -196,15 +200,15 @@ def vanishing_basis(degree: int, conditions, space: str,
         raise TooLarge(
             f"degree {degree} on {space} has {count} monomials, above the cap {MAX_MONOMIALS}"
         )
+    monos = monomial_exponents(degree, nvars)
     clamped = [(cond.point, min(cond.order, degree + 1)) for cond in conditions]
     # order o gives one functional per multi-index of total order below o
     functionals = sum(comb(o + nvars - 2, nvars - 1) for _, o in clamped)
-    if functionals * count > MAX_FUNCTIONAL_CELLS:
+    if functionals * count**2 > MAX_FUNCTIONAL_CELLS:
         raise TooLarge(
             f"{functionals} condition functionals over {count} monomials exceed"
-            f" the cap of {MAX_FUNCTIONAL_CELLS} cells"
+            f" the cap of {MAX_FUNCTIONAL_CELLS} functionals x monomials**2"
         )
-    monos = monomial_exponents(degree, nvars)
     rows = []
     for point, order in clamped:
         rows.extend(_condition_rows(degree, space, point, order, p))
@@ -370,7 +374,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     count, so d is the least component distance. A component is its rows
     restricted to its columns, which is again in echelon form, and each is
     enumerated on its own: sum (p**k_i - 1) / (p - 1) classes instead of
-    (p**k - 1) / (p - 1). A code with one component is enumerated whole.
+    (p**k - 1) / (p - 1). A code with one component loses only its all-zero
+    columns, which never add weight.
     """
     if code.k < 1:
         raise EmptyCode("code has no nonzero codeword")
@@ -380,11 +385,9 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     reduced = gf.rref(code.generator).array  # k x n, independent rows
     if _projective_class_count(p, len(reduced)) > budget:
         return INFEASIBLE
-    parts = _components(reduced)
-    if len(parts) > 1:
-        best = min(_min_weight(reduced[np.ix_(rows, cols)], p) for rows, cols in parts)
-    else:
-        best = _min_weight(reduced, p)
+    best = min(
+        _min_weight(reduced[np.ix_(rows, cols)], p) for rows, cols in _components(reduced)
+    )
     code.d_min = best
     return best
 

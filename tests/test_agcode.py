@@ -155,15 +155,25 @@ def test_rational_point_listing_is_capped(space, p, count):
 
 
 @pytest.mark.parametrize("order, refused", [(256, False), (257, True)])
-def test_condition_functionals_are_capped(order, refused):
-    # P1 at degree 511 has 512 monomials; order o gives o functionals
-    assert 256 * 512 == agcode.MAX_FUNCTIONAL_CELLS
+def test_condition_functionals_are_capped(order, refused, monkeypatch):
+    # P1 at degree 511 has 512 monomials; order o gives o functionals. The
+    # cap counts functionals x monomials**2; the real one sits at about a
+    # second of building, so a smaller one pins where it bites.
+    monkeypatch.setattr(agcode, "MAX_FUNCTIONAL_CELLS", 256 * 512**2)
     conds = [VanishingCondition((1, 0), order)]
     if refused:
         with pytest.raises(TooLarge):
             vanishing_basis(511, conds, "P1", 5)
     else:
         assert vanishing_basis(511, conds, "P1", 5).dim == 512 - order
+
+
+@pytest.mark.parametrize("space, degree, point", [
+    ("P1", -2, (1, 0)), ("P1", -7, (0, 1)), ("P2", -3, (1, 0, 0)), ("P2", -9, (1, 2, 3)),
+])
+def test_negative_degree_with_conditions_is_refused_as_before(space, degree, point):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        vanishing_basis(degree, [VanishingCondition(point, 2)], space, 5)
 
 
 class TestVanishingSpaces:

@@ -472,6 +472,8 @@ class TestMalformedInput:
             pytest.param("P2", "90", None, id="P2-above-the-cap"),
             pytest.param("P1", "1000000000", None, id="P1-degree-1e9"),
             pytest.param("P2", "89; 1:0:0@1, 0:1:0@1", 4095 - 2, id="P2-at-the-cap"),
+            # 465 functionals over 496 monomials build in about 0.1 s
+            pytest.param("P2", "30; 1:0:0@30", 496 - 465, id="P2-465-functionals"),
             # 820 functionals over 4095 monomials took 18 s uncapped
             pytest.param("P2", "89; 1:0:0@40", None, id="P2-820-functionals"),
             # clamped at order 61: 1891 functionals over 1891 monomials
