@@ -51,8 +51,8 @@ def main():
     print(f"\nconstructed chain over F_{args.field} for O(3)+O(1)+O(0)")
     filt, chain = build_curve_filtration([3, 1, 0], 0, args.field)
     show("length", filt.length)
-    show("section dims along the chain", [m.dim for m in chain])
-    show("determinant degrees", [m.det_degree for m in chain])
+    show("section dims along the chain", chain.dims)
+    show("determinant degrees", chain.det_degrees)
     if filt.length is NO_FILTRATION:
         raise SystemExit("unexpected: headline example lost its filtration")
 

@@ -184,8 +184,8 @@ def _cmd_filtration(ns):
         "status": "ok",
         "length": filt.length,
         "points": [hecke.point_at(j, p).label() for j in range(filt.length)],
-        "dims": [m.dim for m in chain],
-        "det_degrees": [m.det_degree for m in chain],
+        "dims": chain.dims,
+        "det_degrees": chain.det_degrees,
         "verified": depth.verify_filtration(filt, target),
     })
     return base

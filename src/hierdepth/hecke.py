@@ -12,8 +12,13 @@ the subspace by the kernel of the functional s -> phi . s(q). Evaluation
 at the point at infinity [1:0] reads the top coefficient of each block.
 The transform is refused as vacuous when the functional already vanishes
 on the whole subspace, since then no colength-one modification happens.
-The filtration builder runs its chain on raw arrays, from one power table
-per request, and wraps each step's basis without re-checking it.
+
+The filtration builder uses standard covectors only, so each of its steps
+cuts one summand's block and leaves the others alone: the subspace stays
+the direct sum of one subspace per summand, and transforms at distinct
+points commute. It keeps one raw w_i x w_i echelon array per summand,
+evaluates a block from one power table per request, and assembles the
+final basis block-diagonally once, wrapped without re-checking it.
 
 When the plain section space is too thin to carry all requested steps
 (negative degrees contribute nothing), the filtration builder shifts every
@@ -133,10 +138,12 @@ def _widths(degrees, twist: int) -> tuple[int, ...]:
     return tuple(max(d + twist + 1, 0) for d in degrees)
 
 
-# Widest section space a model may have. A full chain of transforms at this
-# width takes under a second at p = 100003 and a few seconds at
-# p = 2**31 - 1, where dot_mod computes over Python integers; its starting
-# identity holds MAX_WIDTH**2 int64 entries (1.1 MiB).
+# Widest section space a model may have. The chain cuts each summand's block
+# alone, so a step costs w_i**2 for the block's width w_i. A full chain at
+# this width takes under a second at p = 100003, and about a second at
+# p = 2**31 - 1, where dot_mod computes over Python integers, when one
+# summand holds the whole width. The starting and final models each hold
+# at most MAX_WIDTH**2 int64 entries (1.1 MiB).
 MAX_WIDTH = 384
 
 
@@ -173,31 +180,32 @@ def _powers(coords, p: int, widths) -> np.ndarray:
     return pw
 
 
-def _eval_rows(widths, powers) -> np.ndarray:
-    """Width x rank: column i evaluates block i alone at one point, by the
+def _point_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
+    """Width x rank: column i evaluates block i alone at point, by the
     powers 1, q, q^2, ... of an affine point q across the block, or at
-    infinity (powers None) by the block's top coefficient."""
+    infinity by the block's top coefficient."""
+    widths = m.block_widths
     rows = np.zeros((sum(widths), len(widths)), dtype=np.int64)
+    pw = None if point.is_infinity else _powers([point.coord % m.p], m.p, widths)[0]
     for i, (w, off) in enumerate(zip(widths, accumulate(widths, initial=0))):
-        if w and powers is None:
+        if w and pw is None:
             rows[off + w - 1, i] = 1
         elif w:
-            rows[off:off + w, i] = powers[:w]
+            rows[off:off + w, i] = pw[:w]
     return rows
 
 
-def _point_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
-    w = m.block_widths
-    pw = None if point.is_infinity else _powers([point.coord % m.p], m.p, w)[0]
-    return _eval_rows(w, pw)
+def _first_usable(values, point: RationalPoint) -> tuple[int, np.ndarray]:
+    """The covector selection rule: the first block with nonzero values.
 
-
-def _first_usable(values: np.ndarray, point: RationalPoint) -> int:
-    """The covector selection rule: the first block with nonzero values."""
-    usable = np.flatnonzero(values.any(axis=0))
-    if usable.size == 0:
-        raise VacuousTransform(f"no usable covector at point {point.label()}")
-    return int(usable[0])
+    values yields (block index, values of the sections at point on that
+    block) in block order, and is read only up to the block chosen.
+    Returns that index and its values.
+    """
+    for i, v in values:
+        if v.any():
+            return i, v
+    raise VacuousTransform(f"no usable covector at point {point.label()}")
 
 
 def _functional_row(m: SubsheafModel, phi: PointFunctional) -> np.ndarray:
@@ -233,7 +241,8 @@ def first_usable_covector(m: SubsheafModel,
     Raises VacuousTransform when every section of the subspace vanishes
     at the point.
     """
-    i = _first_usable(gf.dot_mod(m.basis.array, _point_rows(m, point), m.p), point)
+    values = gf.dot_mod(m.basis.array, _point_rows(m, point), m.p)
+    i, _ = _first_usable(enumerate(values.T), point)
     return PointFunctional(point, tuple(int(k == i) for k in range(m.rank)))
 
 
@@ -318,14 +327,46 @@ def _choose_twist(degrees, steps: int) -> int:
     return twist
 
 
+@dataclass(frozen=True)
+class TransformChain:
+    """A chain of transforms at the points point_at(0, p), point_at(1, p), ...
+
+    start is the twisted full section space and final the subsheaf after
+    the last step; step j used the standard covector e_i with i = picks[j].
+    Each step drops the dimension and the determinant ledger by one.
+    """
+
+    start: SubsheafModel
+    picks: tuple[int, ...]
+    final: SubsheafModel
+
+    @property
+    def dims(self) -> list[int]:
+        return list(range(self.start.dim, self.final.dim - 1, -1))
+
+    @property
+    def det_degrees(self) -> list[int]:
+        return list(range(self.start.det_degree, self.final.det_degree - 1, -1))
+
+
+def _block_values(block: np.ndarray, powers, p: int) -> np.ndarray:
+    """Values at one point of the sections a block's rows hold: by the
+    powers of an affine point, or at infinity (powers None) by the top
+    coefficient."""
+    if powers is None:
+        return block[:, -1]
+    return gf.dot_mod(block, powers[:block.shape[1]], p)
+
+
 def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     """Maximal-depth chain of skyscraper transforms at distinct points.
 
     With M = sum(degrees) - lambda0_degree, performs M transforms at the
     points point_at(0, p), ..., point_at(M - 1, p), choosing at each step
-    the first_usable_covector on the current subspace. Returns the
-    determinant-level filtration (read bottom-up) together with the model
-    chain from the full section space down to the final subsheaf.
+    the first usable standard covector on the current subspace, as
+    first_usable_covector does. Returns the determinant-level filtration
+    (read bottom-up) together with the TransformChain from the full
+    section space down to the final subsheaf.
 
     Raises NegativeM when the budget is negative, NotEnoughPoints when
     M exceeds the p + 1 rational points, and WidthTooLarge when the
@@ -350,17 +391,35 @@ def build_curve_filtration(degrees, lambda0_degree: int, p: int):
     widths = _widths(degrees, twist)
     _check_width(sum(widths))
     pw = _powers(range(min(steps, p)), p, widths)
-    a = np.eye(sum(widths), dtype=np.int64)
-    chain = [SubsheafModel(degrees, twist, p, gf._trusted(p, a), sum(degrees))]
+    # a standard covector e_i cuts block i alone, so each block is kept
+    # and cut in its own array
+    blocks = [np.eye(w, dtype=np.int64) for w in widths]
+    picks = []
     for j in range(steps):
-        values = gf.dot_mod(a, _eval_rows(widths, pw[j] if j < p else None), p)
-        a = gf.cut(a, values[:, _first_usable(values, point_at(j, p))], p)
-        basis = gf._trusted(p, a)
-        chain.append(SubsheafModel(degrees, twist, p, basis, sum(degrees) - j - 1))
+        q = pw[j] if j < p else None
+        i, v = _first_usable(
+            ((k, _block_values(b, q, p)) for k, b in enumerate(blocks) if b.size),
+            point_at(j, p),
+        )
+        blocks[i] = gf.cut(blocks[i], v, p)
+        picks.append(i)
+    rows = [b.shape[0] for b in blocks]
+    a = np.zeros((sum(rows), sum(widths)), dtype=np.int64)
+    corners = zip(accumulate(rows, initial=0), accumulate(widths, initial=0))
+    for b, (r, c) in zip(blocks, corners):
+        a[r:r + b.shape[0], c:c + b.shape[1]] = b
+    chain = TransformChain(
+        start=SubsheafModel(degrees, twist, p,
+                            gf._trusted(p, np.eye(sum(widths), dtype=np.int64)),
+                            sum(degrees)),
+        picks=tuple(picks),
+        final=SubsheafModel(degrees, twist, p, gf._trusted(p, a),
+                            sum(degrees) - steps),
+    )
     curve = Lattice.curve()
     filtration = HierFiltration(
         lambda0=curve.divisor(int(lambda0_degree)),
-        increments=tuple(curve.divisor(1) for _ in range(steps)),
+        increments=(curve.divisor(1),) * steps,
         bundle_rank=len(degrees),
     )
     return filtration, chain

@@ -152,9 +152,9 @@ def test_criterion_3_constructive_depth_equality():
             lam = sum(degrees) - m
             filt, chain = build_curve_filtration(degrees, lam, p)
             assert filt.length == m == curve_split_depth(degrees, lam)
-            dims = [model.dim for model in chain]
+            dims = chain.dims
             assert dims == list(range(dims[0], dims[0] - m - 1, -1))
-            dets = [model.det_degree for model in chain]
+            dets = chain.det_degrees
             assert dets == list(range(sum(degrees), lam - 1, -1))
             curve = Lattice.curve()
             bundle = SplitBundle(tuple(curve.divisor(d) for d in degrees))

@@ -142,6 +142,20 @@ class TestFiltrationCommand:
         assert rep["det_degrees"] == [4, 3, 2, 1, 0]
         assert rep["points"] == ["0", "1", "2", "3"]
 
+    @pytest.mark.parametrize("name, argv", [
+        ("readme", "--field 5 --degrees 3,1,0 --lambda0 0"),
+        ("twisted", "--field 5 --degrees 0,-3 --lambda0 -5"),
+        ("every-point", "--field 2 --degrees 1,1 --lambda0 -1"),
+        ("three-blocks", "--field 101 --degrees 40,40,20 --lambda0 0"),
+    ])
+    def test_report_is_byte_stable(self, name, argv):
+        # tests/golden holds these reports as written before the chain was
+        # cut block by block; stdout must not change by a byte
+        golden = ROOT / "tests" / "golden" / f"filtration-{name}.json"
+        rc, out, err = run(["filtration", *argv.split()])
+        assert rc == 0, err
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_overdrawn_budget(self):
         rep = report_of(["filtration", "--field", "5", "--degrees", "1", "--lambda0", "3"])
         assert rep["status"] == "no-filtration"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,8 +299,8 @@ class TestBuildChain:
     def test_headline_chain(self):
         filt, chain = build_curve_filtration([3, 1, 0], 0, 5)
         assert filt.length == 4
-        assert [m.dim for m in chain] == [7, 6, 5, 4, 3]
-        assert [m.det_degree for m in chain] == [4, 3, 2, 1, 0]
+        assert chain.dims == [7, 6, 5, 4, 3]
+        assert chain.det_degrees == [4, 3, 2, 1, 0]
         curve = Lattice.curve()
         target = SplitBundle(tuple(curve.divisor(d) for d in (3, 1, 0)))
         assert verify_filtration(filt, target)
@@ -307,23 +308,26 @@ class TestBuildChain:
     def test_zero_budget_gives_trivial_chain(self):
         filt, chain = build_curve_filtration([1, -1], 0, 5)
         assert filt.length == 0
-        assert len(chain) == 1
+        assert chain.picks == ()
+        assert len(chain.dims) == 1
+        assert chain.final == chain.start
 
     def test_thin_section_space_gets_a_twist(self):
         # The plain model of O(0) + O(-3) has one section but the sheaf
         # supports two more transforms; a uniform twist makes them visible.
         filt, chain = build_curve_filtration([0, -3], -5, 5)
         assert filt.length == 2
-        assert chain[0].twist > 0
-        assert [m.dim for m in chain] == [chain[0].dim, chain[0].dim - 1, chain[0].dim - 2]
-        assert [m.det_degree for m in chain] == [-3, -4, -5]
+        assert chain.start.twist > 0
+        assert chain.dims == [chain.start.dim, chain.start.dim - 1, chain.start.dim - 2]
+        assert chain.det_degrees == [-3, -4, -5]
 
     def test_single_summand_deep_chain(self):
         filt, chain = build_curve_filtration([1], -3, 5)
         assert filt.length == 4
-        assert [m.det_degree for m in chain] == [1, 0, -1, -2, -3]
-        for earlier, later in zip(chain, chain[1:]):
-            assert later.dim == earlier.dim - 1
+        assert chain.det_degrees == [1, 0, -1, -2, -3]
+        assert len(chain.dims) == 5
+        for earlier, later in zip(chain.dims, chain.dims[1:]):
+            assert later == earlier - 1
 
     def test_negative_budget_raises(self):
         with pytest.raises(NegativeM):
@@ -336,7 +340,7 @@ class TestBuildChain:
     def test_budget_can_use_every_point(self):
         filt, chain = build_curve_filtration([1, 1], -1, 2)  # M = 3 = p + 1
         assert filt.length == 3
-        assert [m.det_degree for m in chain] == [2, 1, 0, -1]
+        assert chain.det_degrees == [2, 1, 0, -1]
 
     def test_transform_path_needs_no_re_elimination(self, monkeypatch):
         def refuse(*args):
@@ -351,7 +355,7 @@ class TestBuildChain:
             step.setattr(gf, "subspace_kernel", refuse)
             step.setattr(gf, "_is_rref", refuse)
             filt, chain = build_curve_filtration([3, 1, 0], 0, 5)
-            assert [m.dim for m in chain] == [7, 6, 5, 4, 3]
+            assert chain.dims == [7, 6, 5, 4, 3]
             assert build_curve_filtration([0, -3], -5, 5)[0].length == 2
             out = apply_transform(m, first_usable_covector(m, INFINITY))
             assert out.dim == m.dim - 1
@@ -365,16 +369,29 @@ class TestBuildChain:
     def test_width_cap(self):
         widest = MAX_WIDTH - 1
         _, chain = build_curve_filtration([widest], widest - 2, 7)
-        assert [m.dim for m in chain] == [MAX_WIDTH, MAX_WIDTH - 1, MAX_WIDTH - 2]
+        assert chain.dims == [MAX_WIDTH, MAX_WIDTH - 1, MAX_WIDTH - 2]
         with pytest.raises(WidthTooLarge):
             build_curve_filtration([MAX_WIDTH], MAX_WIDTH - 2, 7)  # 2 steps
         with pytest.raises(WidthTooLarge):
             build_curve_filtration([10**6], 0, 2**31 - 1)  # 10**6 steps
 
+    def test_widest_chain_keeps_no_step_basis(self):
+        # each summand is cut in its own array and only the final basis is
+        # kept, so 382 steps at the full width hold a few MAX_WIDTH**2
+        # arrays (1.1 MiB each), not one per step (217 MiB)
+        tracemalloc.start()
+        try:
+            _, chain = build_curve_filtration([382, 0], 0, 100003)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chain.dims[-1] == 2
+        assert peak < 8 * 2**20
+
     def test_twist_search_starts_below_the_empty_blocks(self):
         _, chain = build_curve_filtration([-10**9], -10**9 - 3, 7)
-        assert [m.dim for m in chain] == [3, 2, 1, 0]
-        assert chain[0].twist == 10**9 + 2
+        assert chain.dims == [3, 2, 1, 0]
+        assert chain.start.twist == 10**9 + 2
 
     def test_randomized_lengths_match_curve_depth(self):
         rng = random.Random(41)
@@ -385,9 +402,9 @@ class TestBuildChain:
             lam = sum(degrees) - m
             filt, chain = build_curve_filtration(degrees, lam, p)
             assert filt.length == m == curve_split_depth(degrees, lam)
-            dims = [model.dim for model in chain]
+            dims = chain.dims
             assert dims == list(range(dims[0], dims[0] - m - 1, -1))
-            dets = [model.det_degree for model in chain]
+            dets = chain.det_degrees
             assert dets == list(range(sum(degrees), lam - 1, -1))
 
 
@@ -412,12 +429,12 @@ def test_chain_follows_the_block_capacity_rule(p, degrees, data):
     # block's affine points, with the degree bound one lower after infinity.
     steps = data.draw(st.integers(min_value=0, max_value=min(60, p + 1)))
     _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
-    widths = [max(d + chain[0].twist + 1, 0) for d in degrees]
+    widths = [max(d + chain.start.twist + 1, 0) for d in degrees]
+    assert len(chain.picks) == steps
     points = [[] for _ in degrees]
     for j in range(steps):
         i = next(i for i, w in enumerate(widths) if len(points[i]) < w)
-        cov = first_usable_covector(chain[j], point_at(j, p)).covector
-        assert cov == tuple(int(k == i) for k in range(len(degrees)))
+        assert chain.picks[j] == i
         points[i].append(j)
     rows = []
     offset = 0
@@ -431,7 +448,7 @@ def test_chain_follows_the_block_capacity_rule(p, degrees, data):
             row[offset + k:offset + k + len(vanishing)] = vanishing
             rows.append(row)
         offset += w
-    assert chain[-1].basis.tolist() == rref_rowwise(rows, p)
+    assert chain.final.basis.tolist() == rref_rowwise(rows, p)
 
 
 @given(
@@ -440,19 +457,24 @@ def test_chain_follows_the_block_capacity_rule(p, degrees, data):
     st.data(),
 )
 def test_chain_replays_through_the_public_transforms(p, degrees, data):
-    # The chain runs on raw arrays; replaying it from chain[0] through the
-    # checked first_usable_covector and apply_transform must give the same
-    # covector at every step and equal bases, and every basis is read-only.
+    # The chain runs on raw per-block arrays; replaying it from its start
+    # through the checked first_usable_covector and apply_transform must
+    # pick the recorded standard covector at every step and end on the
+    # final model, and both recorded bases are read-only.
     steps = data.draw(st.integers(min_value=0, max_value=min(60, p + 1)))
     _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
-    assert len(chain) == steps + 1
-    current = chain[0]
+    assert len(chain.picks) == steps
+    assert len(chain.dims) == len(chain.det_degrees) == steps + 1
+    current = chain.start
     for j in range(steps):
         phi = first_usable_covector(current, point_at(j, p))
+        assert phi.covector == tuple(int(k == chain.picks[j]) for k in range(len(degrees)))
         current = apply_transform(current, phi)
-        assert first_usable_covector(chain[j], point_at(j, p)) == phi
-        assert current == chain[j + 1]
-    assert not any(m.basis.array.flags.writeable for m in chain)
+        assert current.dim == chain.dims[j + 1]
+        assert current.det_degree == chain.det_degrees[j + 1]
+    assert current == chain.final
+    assert not chain.start.basis.array.flags.writeable
+    assert not chain.final.basis.array.flags.writeable
 
 
 @pytest.mark.parametrize("degrees, steps", [([0], 0), ([3, 1], 5), ([40, 40, 20], 101)])
@@ -461,5 +483,6 @@ def test_chain_checks_the_prime_once(monkeypatch, degrees, steps):
     original = gf._is_prime
     monkeypatch.setattr(gf, "_is_prime", lambda n: calls.append(n) or original(n))
     _, chain = build_curve_filtration(degrees, sum(degrees) - steps, 101)
-    assert len(chain) == steps + 1
+    assert len(chain.picks) == steps
+    assert len(chain.dims) == steps + 1
     assert calls == [101]
