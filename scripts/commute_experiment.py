@@ -13,18 +13,18 @@ from hierdepth.errors import VacuousTransform
 from hierdepth.hecke import (
     PointFunctional,
     commute_check,
-    enumerate_points,
     full_sections,
+    point_at,
 )
 
 
 def run_trials(p, trials, rng):
-    pts = enumerate_points(p)
     agree = vacuous = 0
     for _ in range(trials):
         rank = rng.randint(1, 4)
         degrees = [rng.randint(0, 4) for _ in range(rank)]
-        q1, q2 = rng.sample(pts, 2)
+        # indices drawn lazily: near 2**31 the p + 1 points are never listed
+        q1, q2 = (point_at(j, p) for j in rng.sample(range(p + 1), 2))
         covs = []
         for _ in range(2):
             c = [rng.randrange(p) for _ in range(rank)]

@@ -49,12 +49,12 @@ MAX_POINTS = 2**18
 # Most monomials one summand may have: degree 89 on P2, 4095 on P1. P2 at
 # degree 89 with two vanishing points builds in about half a second.
 MAX_MONOMIALS = 2**12
-# Most condition functionals x monomials**2 one summand may have. Each
-# functional is one kernel step over a basis of at most monomials x monomials
-# cells, at 0.6 to 3 ns per cell: P2 at degree 89 (4095 monomials) with 55
-# functionals (9.2e8 cells) builds in 1.2 s, P2 at degree 30 with an order-30
-# point (1.1e8) in 0.12 s, and P1 at degree 1023 with an order-1024 point
-# (1.07e9, exactly the cap) in 3.3 s.
+# Most condition functionals x monomials**2 one summand may have. The kernel
+# is one elimination; building the rows in Python costs more. Timed at p = 5
+# and 2**31 - 1: P2 at degree 89 (4095 monomials) with 55 functionals (9.2e8
+# cells) in 0.2 and 0.3 s, P2 at degree 30 with an order-30 point (1.1e8) in
+# 0.15 and 0.18 s, P1 at degree 1023 with an order-1024 point (1.07e9,
+# exactly the cap) in 3.7 and 4.7 s, 3.4 to 3.7 s of it building rows.
 MAX_FUNCTIONAL_CELLS = 2**30
 
 # Homogeneous coordinates of a point, per space.

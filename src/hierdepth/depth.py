@@ -10,6 +10,7 @@ depth is reported by the NO_FILTRATION sentinel rather than an integer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,8 +56,8 @@ class HierFiltration:
 
     def top_determinant(self) -> DivisorClass:
         total = self.lambda0
-        for d in self.increments:
-            total = total + d
+        for d, k in Counter(self.increments).items():
+            total = total + k * d
         return total
 
 
@@ -70,10 +71,12 @@ def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     lat = target.lattice
     if f.lambda0.lattice != lat:
         raise LatticeMismatch("lambda0 is in a different lattice")
-    for d in f.increments:
+    # each distinct increment once; every lattice first, so a mismatch wins
+    distinct = Counter(f.increments)
+    for d in distinct:
         if d.lattice != lat:
             raise LatticeMismatch("increment in a different lattice")
-    for d in f.increments:
+    for d in distinct:
         if d.is_zero or not is_effective(d):
             return False
     return f.top_determinant() == target.det()

@@ -10,6 +10,9 @@ each partial sum below 2**63 or else computes over Python integers.
 The reduced row echelon form computed here is the canonical representative
 of a row space: two row-generating sets span the same subspace exactly when
 their echelon forms are equal entry by entry.
+
+One elimination, _rref_array, gives echelon forms, ranks and kernels; cut
+is the one step that removes a functional from an echelon basis.
 """
 
 from __future__ import annotations
@@ -168,20 +171,6 @@ def _rref_array(a: np.ndarray, p: int) -> np.ndarray:
     return a[:r]
 
 
-def _is_rref(a: np.ndarray) -> bool:
-    """Whether a reduced array is in reduced echelon form with no zero rows.
-
-    Leading entries must sit in strictly increasing columns, equal one,
-    and be the only nonzero entry of their column. Linear in a's size.
-    """
-    lead = (a != 0).argmax(axis=1)
-    return bool(
-        (np.diff(lead) > 0).all()
-        and (a[np.arange(a.shape[0]), lead] == 1).all()
-        and (np.count_nonzero(a, axis=0)[lead] == 1).all()
-    )
-
-
 def rref(m: FMatrix) -> FMatrix:
     """Canonical reduced row echelon form; rows span the same row space."""
     return _trusted(m.p, _rref_array(m.array, m.p))
@@ -191,13 +180,28 @@ def rank(m: FMatrix) -> int:
     return _rref_array(m.array, m.p).shape[0]
 
 
+def _free_column_kernel(r: np.ndarray, p: int) -> np.ndarray:
+    """Kernel of a reduced echelon array with no zero rows, one row per free
+    column j in increasing order: 1 at j and -r[i, j] at row i's pivot."""
+    lead = (r != 0).argmax(axis=1) if r.size else np.zeros(0, dtype=np.intp)
+    free = np.ones(r.shape[1], dtype=bool)
+    free[lead] = False
+    free = np.flatnonzero(free)
+    k = np.zeros((free.size, r.shape[1]), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, lead] = (-r[:, free].T) % p
+    return k
+
+
 def kernel_basis(m: FMatrix) -> FMatrix:
     """Canonical basis of the right kernel {v : M v^T = 0}.
 
     The result is itself in reduced echelon form, so equal kernels compare
-    equal as matrices. Row count is cols - rank(m).
+    equal as matrices. Row count is cols - rank(m). With M's columns
+    reversed, the free-column rows come out reversed in echelon form.
     """
-    return subspace_kernel(FMatrix.identity(m.p, m.cols), m.array)
+    k = _free_column_kernel(_rref_array(m.array[:, ::-1], m.p), m.p)
+    return _trusted(m.p, np.ascontiguousarray(k[::-1, ::-1]))
 
 
 def cut(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -222,21 +226,3 @@ def cut(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     c = int(np.flatnonzero(pivot_row)[0])
     _eliminate(a, rows, pivot_row, (v[rows] * inv) % p, c, p)
     return a
-
-
-def subspace_kernel(basis: FMatrix, functional_rows: np.ndarray) -> FMatrix:
-    """Canonical basis of {v in rowspace(basis) : F v^T = 0}.
-
-    functional_rows holds one functional per row in ambient coordinates.
-    Each functional f costs one cut with the values B f on the echelon
-    basis B. A basis not in reduced echelon form is reduced once first.
-    """
-    p = basis.p
-    a = basis.array
-    if a.shape[0] == 0:
-        return basis
-    if not _is_rref(a):
-        a = _rref_array(a, p)
-    for f in np.asarray(functional_rows, dtype=np.int64) % p:
-        a = cut(a, dot_mod(a, f, p), p)
-    return _trusted(p, a)

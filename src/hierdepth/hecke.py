@@ -111,7 +111,7 @@ class SubsheafModel:
     ledgers the untwisted determinant degree, dropping by one per
     transform. The basis is in reduced echelon form: the constructors
     start from an identity and each transform keeps the form, so no step
-    re-checks it; the filtration chain wraps raw arrays without checks.
+    re-checks it; the filtration chain and the joint kernel rely on it.
     """
 
     degrees: tuple[int, ...]
@@ -268,8 +268,11 @@ def _same_point(a: RationalPoint, b: RationalPoint, p: int) -> bool:
 
 
 def _joint_kernel(m: SubsheafModel, f1, f2) -> FMatrix:
-    rows = np.stack([_functional_row(m, f1), _functional_row(m, f2)])
-    return gf.subspace_kernel(m.basis, rows)
+    # a row space is the kernel of its kernel, so stacking the functionals
+    # under the basis's kernel checks the transforms without any cut
+    rows = np.concatenate((gf._free_column_kernel(m.basis.array, m.p),
+                           [_functional_row(m, f1), _functional_row(m, f2)]))
+    return gf.kernel_basis(FMatrix(m.p, rows, cols=m.basis.cols))
 
 
 def _three_routes(m, f1, f2) -> CommuteReport:

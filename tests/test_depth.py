@@ -219,6 +219,27 @@ class TestFiltrationRecords:
         with pytest.raises(LatticeMismatch):
             verify_filtration(f, target)
 
+    def test_lattice_mismatch_wins_over_a_noneffective_increment(self):
+        # the non-effective increment comes first, the foreign lattice second
+        f = HierFiltration(P2.zero(), (P2.divisor(-1), CURVE.divisor(1)), 2)
+        target = SplitBundle((P2.divisor(1),))
+        with pytest.raises(LatticeMismatch):
+            verify_filtration(f, target)
+
+    def test_repeated_increments_telescope(self):
+        # oracle: the coefficients of lambda0 plus each increment, one at a time
+        lat = Lattice.blowup_p2(1)
+        steps = (lat.divisor(1, 0),) * 60 + (lat.divisor(0, 1),) * 40 + (lat.divisor(1, 0),)
+        f = HierFiltration(lat.divisor(-3, 2), steps, 2)
+        by_hand = [-3, 2]
+        for d in steps:
+            by_hand = [a + b for a, b in zip(by_hand, d.coeffs)]
+        assert f.top_determinant() == lat.divisor(*by_hand) == lat.divisor(58, 42)
+        target = SplitBundle((lat.divisor(58, 40), lat.divisor(0, 2)))
+        assert verify_filtration(f, target)
+        bad = HierFiltration(f.lambda0, steps[:50] + (lat.zero(),) + steps[50:], 2)
+        assert not verify_filtration(bad, target)
+
     def test_blowup_delta_counts_exceptional_steps(self):
         f = self.chain_on_blowup()
         # oracle: recount by hand

@@ -9,17 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hierdepth import gf
-from hierdepth.errors import NotPrime
-from hierdepth.gf import (
-    Field,
-    FMatrix,
-    dot_mod,
-    kernel_basis,
-    rank,
-    rref,
-    subspace_kernel,
-)
+from hierdepth import gf, hecke
+from hierdepth.errors import NotPrime, VacuousTransform
+from hierdepth.gf import Field, FMatrix, dot_mod, kernel_basis, rank, rref
 
 FIELDS = [2, 5, 7]
 BIG = 2**31 - 1
@@ -247,7 +239,7 @@ def test_trusted_wraps_sit_where_pinned():
         found |= {f"{path.stem}.{f.name}" for f in functions if _trusted_refs(f)}
         if _trusted_refs(tree) > sum(_trusted_refs(f) for f in functions):
             found.add(f"{path.stem}.<module>")
-    assert found == {"hecke.build_curve_filtration", "gf.rref", "gf.subspace_kernel"}
+    assert found == {"hecke.build_curve_filtration", "gf.rref", "gf.kernel_basis"}
 
 
 def rref_rowwise(a, p):
@@ -326,44 +318,6 @@ def test_rref_matches_rowwise_elimination(p, r, c, rnd):
     st.sampled_from(MATRIX_FIELDS),
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=1, max_value=8),
-    st.sampled_from(
-        ["raw", "echelon", "scaled pivot", "extra in lead column", "zero row", "swapped rows"]
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_is_rref_matches_its_definition(p, r, c, shape, rnd):
-    # Echelon forms of rank min(r, c) and their near misses; r = 0 gives
-    # the empty array.
-    if shape == "raw":
-        data = [[rnd.randrange(p) if rnd.random() < 0.6 else 0 for _ in range(c)]
-                for _ in range(r)]
-    else:
-        leads = sorted(rnd.sample(range(c), min(r, c)))
-        data = [[0] * c for _ in leads]
-        for row, lead in zip(data, leads):
-            row[lead] = 1
-            for col in range(lead + 1, c):
-                if col not in leads:
-                    row[col] = rnd.randrange(p)
-    i = rnd.randrange(1, len(data)) if len(data) > 1 else 0
-    if shape == "scaled pivot" and data:
-        data[i] = [2 * x % p for x in data[i]]
-    elif shape == "extra in lead column" and i:
-        # the row above gains an entry in row i's lead column; its own lead stays
-        data[i - 1][leads[i]] = rnd.randrange(1, p)
-    elif shape == "zero row":
-        data.insert(i, [0] * c)
-    elif shape == "swapped rows" and i:
-        data[i - 1], data[i] = data[i], data[i - 1]
-    a = np.array(data, dtype=np.int64).reshape(len(data), c)
-    expect = rref_rowwise(data, p) == data and all(any(row) for row in data)
-    assert gf._is_rref(a) == expect
-
-
-@given(
-    st.sampled_from(MATRIX_FIELDS),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=1, max_value=8),
     st.sampled_from(["sparse", "zero", "full"]),
     st.randoms(use_true_random=False),
 )
@@ -392,32 +346,49 @@ def test_kernel_basis_matches_free_column_kernel(p, r, c, shape, rnd):
         assert got.rows == c - min(r, c)
 
 
+@pytest.mark.parametrize("p", MATRIX_FIELDS)
+def test_kernel_basis_edge_shapes(p):
+    # degenerate shapes: no rows, no columns, full column rank
+    for n in (0, 1, 5):
+        assert kernel_basis(FMatrix(p, [], cols=n)) == FMatrix.identity(p, n)
+    for r in (0, 1, 3):
+        assert kernel_basis(FMatrix(p, np.zeros((r, 0), dtype=np.int64))).shape == (0, 0)
+    # unit lower triangular rows plus one more: full column rank 3
+    full = kernel_basis(FMatrix(p, [[1, 0, 0], [2, 1, 0], [3, p - 1, 1], [p - 1, 0, 0]]))
+    assert full.shape == (0, 3)
+    k = kernel_basis(FMatrix(p, [[1, 2, 0, 3]]))
+    assert k.tolist() == kernel_reference([[1, 2, 0, 3]], 4, p)
+    assert k.array.dtype == np.int64
+    assert k.array.flags.c_contiguous and not k.array.flags.writeable
+
+
 @given(
     st.sampled_from(MATRIX_FIELDS),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=-1, max_value=4), min_size=1, max_size=3),
     st.integers(min_value=0, max_value=3),
-    st.sampled_from(["raw", "echelon", "mixed"]),
     st.randoms(use_true_random=False),
 )
-def test_subspace_kernel_matches_coefficient_kernel(p, r, c, k, shape, rnd):
-    # Sparse entries make dependent rows, zero values and zero functionals.
-    def entry():
-        return rnd.randrange(p) if rnd.random() < 0.6 else 0
+def test_subspace_kernel_matches_coefficient_kernel(p, degrees, steps, rnd):
+    # The joint kernel of two functionals at distinct points, on a full
+    # section space after 0-3 random transforms, against the kernel in
+    # coefficient space. Sparse covectors make zero values on some blocks.
+    def functional(point):
+        cov = [rnd.randrange(p) if rnd.random() < 0.6 else 0 for _ in degrees]
+        cov[rnd.randrange(len(degrees))] = rnd.randrange(1, p)
+        return hecke.PointFunctional(point, tuple(cov))
 
-    data = [[entry() for _ in range(c)] for _ in range(r)]
-    if shape != "raw":
-        data = rref_rowwise(data, p)
-    if shape == "mixed" and len(data) > 1:
-        # same row space, no longer reduced: add a multiple of the last row
-        data[0] = [(x + 2 * y) % p for x, y in zip(data[0], data[-1])]
-    basis = FMatrix(p, data, cols=c)
-    functionals = np.array(
-        [[entry() for _ in range(c)] for _ in range(k)], dtype=np.int64
-    ).reshape(k, c)
-    got = subspace_kernel(basis, functionals)
-    assert got == subspace_kernel_reference(basis, functionals)
-    # the kernel lies in the kernel of every functional
+    m = hecke.full_sections(degrees, p)
+    for _ in range(steps):
+        try:
+            m = hecke.apply_transform(m, functional(hecke.point_at(rnd.randrange(p + 1), p)))
+        except VacuousTransform:
+            pass
+    i, j = rnd.sample(range(p + 1), 2)
+    f1, f2 = functional(hecke.point_at(i, p)), functional(hecke.point_at(j, p))
+    functionals = np.stack([hecke._functional_row(m, f) for f in (f1, f2)])
+    got = hecke._joint_kernel(m, f1, f2)
+    assert got == subspace_kernel_reference(m.basis, functionals)
+    # the kernel lies in the kernel of both functionals
     for row in got.tolist():
         for f in functionals.tolist():
             assert sum(x * y for x, y in zip(row, f)) % p == 0

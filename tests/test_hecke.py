@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_gf import rref_rowwise
 
-from hierdepth import gf
+from hierdepth import gf, hecke
 from hierdepth.depth import curve_split_depth, verify_filtration
 from hierdepth.bundle import SplitBundle
 from hierdepth.errors import (
@@ -346,25 +346,27 @@ class TestBuildChain:
         def refuse(*args):
             raise AssertionError("re-elimination on the transform path")
 
-        monkeypatch.setattr(gf, "kernel_basis", refuse)
-        monkeypatch.setattr(gf, "_rref_array", refuse)
         m = full_sections([2, 2], 7)
         with monkeypatch.context() as step:
-            # a transform is one evaluation and one cut: no kernel routine
-            # and no echelon re-check
-            step.setattr(gf, "subspace_kernel", refuse)
-            step.setattr(gf, "_is_rref", refuse)
+            # a transform is one evaluation and one cut: no elimination and
+            # no kernel routine
+            step.setattr(gf, "_rref_array", refuse)
+            step.setattr(gf, "kernel_basis", refuse)
+            step.setattr(gf, "_free_column_kernel", refuse)
             filt, chain = build_curve_filtration([3, 1, 0], 0, 5)
             assert chain.dims == [7, 6, 5, 4, 3]
             assert build_curve_filtration([0, -3], -5, 5)[0].length == 2
             out = apply_transform(m, first_usable_covector(m, INFINITY))
             assert out.dim == m.dim - 1
-        rep = commute_check(
-            m,
-            first_usable_covector(m, point_at(0, 7)),
-            first_usable_covector(m, INFINITY),
-        )
+        f1 = first_usable_covector(m, point_at(0, 7))
+        f2 = first_usable_covector(m, INFINITY)
+        rep = commute_check(m, f1, f2)
         assert rep.equal and rep.dim_joint == 4
+        with monkeypatch.context() as step:
+            # the joint kernel checks the transforms, so it shares no cut
+            # with them
+            step.setattr(gf, "cut", refuse)
+            assert hecke._joint_kernel(m, f1, f2) == rep.joint
 
     def test_width_cap(self):
         widest = MAX_WIDTH - 1

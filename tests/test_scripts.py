@@ -10,14 +10,27 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run(script, *args):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda path: path.name
 )
 def test_demo_script_exits_zero(script):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commute_experiment_at_the_largest_prime():
+    # the joint-kernel route against both transform orders up to 2**31 - 1
+    proc = _run(ROOT / "scripts" / "commute_experiment.py",
+                "--fields", "2,65537,2147483647", "--trials", "50")
+    assert proc.returncode == 0, proc.stderr
+    assert "F_2147483647: " in proc.stdout
+    assert proc.stdout.endswith("all routes agree\n")
