@@ -49,12 +49,12 @@ MAX_POINTS = 2**18
 # Most monomials one summand may have: degree 89 on P2, 4095 on P1. P2 at
 # degree 89 with two vanishing points builds in about half a second.
 MAX_MONOMIALS = 2**12
-# Most condition functionals x monomials**2 one summand may have. The kernel
-# is one elimination; building the rows in Python costs more. Timed at p = 5
-# and 2**31 - 1: P2 at degree 89 (4095 monomials) with 55 functionals (9.2e8
-# cells) in 0.2 and 0.3 s, P2 at degree 30 with an order-30 point (1.1e8) in
-# 0.15 and 0.18 s, P1 at degree 1023 with an order-1024 point (1.07e9,
-# exactly the cap) in 3.7 and 4.7 s, 3.4 to 3.7 s of it building rows.
+# Most condition functionals x monomials**2 one summand may have; the kernel's
+# one elimination is the cost. Timed at p = 5 and 2**31 - 1: P2 at degree 89
+# (4095 monomials) with 55 functionals (9.2e8 cells) in 0.07 and 0.09 s, P2
+# at degree 30 with an order-30 point (1.1e8) in 0.06 and 0.08 s, P1 at degree
+# 1023 with an order-1024 point (1.07e9, the cap) in 0.3 and 1.3 s, 0.02 s
+# of it building rows.
 MAX_FUNCTIONAL_CELLS = 2**30
 
 # Homogeneous coordinates of a point, per space.
@@ -68,11 +68,8 @@ def monomial_exponents(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     if nvars == 2:
         return tuple((a, degree - a) for a in range(degree, -1, -1))
     if nvars == 3:
-        out = []
-        for a in range(degree, -1, -1):
-            for b in range(degree - a, -1, -1):
-                out.append((a, b, degree - a - b))
-        return tuple(out)
+        return tuple((a, b, degree - a - b)
+                     for a in range(degree, -1, -1) for b in range(degree - a, -1, -1))
     raise ValueError("only 2 or 3 variables are supported")
 
 
@@ -142,40 +139,47 @@ class SectionBasis:
         return monomial_exponents(self.degree, SPACES[self.space])
 
 
-def _derivative_multi_indices(nvars_affine: int, order: int):
-    if nvars_affine == 1:
-        return [(i,) for i in range(order)]
-    return [(i, j) for i in range(order) for j in range(order - i)]
+def _point_on(space: str, pt, p: int) -> tuple[int, ...]:
+    """The normalized point pt of the space; refuses a wrong coordinate count."""
+    if len(pt) != SPACES[space]:
+        raise ValueError(f"{space} points need {SPACES[space]} coordinates, not {tuple(pt)}")
+    return _normalize(pt, p)
 
 
-def _condition_rows(degree, space, point, order, p):
-    """Divided-power derivative functionals of order below `order`.
+def _taylor(values, degree: int, order: int, p: int) -> np.ndarray:
+    """Taylor table of the values x mod p, (degree + 1) x values.shape x order.
 
-    The point is normalized, the chart with coordinate one is
-    dehomogenized away, and each functional evaluates a Hasse derivative
-    of the dehomogenized form at the remaining affine coordinates. In
-    small characteristic the binomial factors implement divided powers,
+    Entry [e, ..., i] is C(e, i) * x**(e - i), the coefficient of t**i in
+    (x + t)**e (zero for i > e); column 0 is the power table. The step
+    T[e + 1] = x * T[e] + T[e] shifted right keeps every entry below p.
+    """
+    x = np.asarray(values, dtype=np.int64)[..., None]
+    table = np.zeros((degree + 1,) + x.shape[:-1] + (order,), dtype=np.int64)
+    table[0, ..., 0] = 1
+    for e in range(degree):
+        step = x * table[e]
+        step[..., 1:] += table[e, ..., :-1]
+        table[e + 1] = step % p
+    return table
+
+
+def _condition_rows(degree, nvars, point, order, p) -> np.ndarray:
+    """Hasse-derivative functionals of order below `order` at a normalized point.
+
+    A functional is a multi-index i of total order below `order`, zero in the
+    chart (the first nonzero coordinate, which is one). Its entry at the
+    monomial with exponents f is the product over v of C(f_v, i_v) *
+    point_v**(f_v - i_v), one gather per variable from the point's Taylor
+    table. In small characteristic the binomials implement divided powers,
     so order-o vanishing is characterized correctly even when o exceeds p.
     """
-    nvars = SPACES[space]
-    pt = _normalize(point, p)
-    chart = next(i for i, c in enumerate(pt) if c)
-    affine_vars = [v for v in range(nvars) if v != chart]
-    coords = [pt[v] for v in affine_vars]
-    monos = monomial_exponents(degree, nvars)
-    rows = []
-    for multi in _derivative_multi_indices(len(affine_vars), order):
-        row = []
-        for expo in monos:
-            f = [expo[v] for v in affine_vars]
-            val = 1
-            for e, i, a in zip(f, multi, coords):
-                if e < i:
-                    val = 0
-                    break
-                val = (val * (comb(e, i) % p) * pow(a, e - i, p)) % p
-            row.append(val)
-        rows.append(row)
+    multi = np.array(monomial_exponents(order - 1, nvars))
+    multi[:, int(np.flatnonzero(point)[0])] = 0
+    monos = np.array(monomial_exponents(degree, nvars))
+    table = _taylor(point, degree, order, p)  # degree + 1 x nvars x order
+    rows = np.ones((len(multi), len(monos)), dtype=np.int64)
+    for v in range(nvars):
+        rows = rows * table[monos[None, :, v], v, multi[:, None, v]] % p
     return rows
 
 
@@ -201,7 +205,7 @@ def vanishing_basis(degree: int, conditions, space: str,
             f"degree {degree} on {space} has {count} monomials, above the cap {MAX_MONOMIALS}"
         )
     monos = monomial_exponents(degree, nvars)
-    clamped = [(cond.point, min(cond.order, degree + 1)) for cond in conditions]
+    clamped = [(_point_on(space, c.point, p), min(c.order, degree + 1)) for c in conditions]
     # order o gives one functional per multi-index of total order below o
     functionals = sum(comb(o + nvars - 2, nvars - 1) for _, o in clamped)
     if functionals * count**2 > MAX_FUNCTIONAL_CELLS:
@@ -209,10 +213,9 @@ def vanishing_basis(degree: int, conditions, space: str,
             f"{functionals} condition functionals over {count} monomials exceed"
             f" the cap of {MAX_FUNCTIONAL_CELLS} functionals x monomials**2"
         )
-    rows = []
-    for point, order in clamped:
-        rows.extend(_condition_rows(degree, space, point, order, p))
-    basis = gf.kernel_basis(FMatrix(p, rows, cols=len(monos)))
+    rows = [_condition_rows(degree, nvars, point, order, p) for point, order in clamped]
+    rows = np.concatenate([np.zeros((0, len(monos)), dtype=np.int64), *rows])
+    basis = gf.kernel_basis(FMatrix(p, rows))
     return SectionBasis(space=space, degree=degree, p=p, basis=basis)
 
 
@@ -225,9 +228,7 @@ def _evaluate(basis: SectionBasis, points) -> np.ndarray:
     if not points:
         raise ValueError("need at least one evaluation point")
     p, coords = basis.p, np.array(points, dtype=np.int64)
-    powers = np.ones((basis.degree + 1,) + coords.shape, dtype=np.int64)
-    for e in range(basis.degree):
-        powers[e + 1] = powers[e] * coords % p
+    powers = _taylor(coords, basis.degree, 1, p)[..., 0]
     table = np.ones((basis.basis.cols, len(points)), dtype=np.int64)
     for v, exponents in enumerate(np.array(basis.monomials).T):
         table = table * powers[exponents, :, v] % p  # monomials x points
@@ -236,7 +237,8 @@ def _evaluate(basis: SectionBasis, points) -> np.ndarray:
 
 def evaluate_basis(basis: SectionBasis, pt) -> np.ndarray:
     """Values of every basis form at a normalized point."""
-    return _evaluate(basis, [normalize_point(pt, basis.p)])[:, 0]
+    Field(basis.p)
+    return _evaluate(basis, [_point_on(basis.space, pt, basis.p)])[:, 0]
 
 
 @dataclass
@@ -280,13 +282,13 @@ def build_code(bases, points, p: int, exceptional=()) -> LinearCode:
         if b.space != space:
             raise ValueError("section bases on different spaces")
     Field(p)
-    regular = [_normalize(pt, p) for pt in points]
+    regular = [_point_on(space, pt, p) for pt in points]
     seen = set()
     for pt in regular:
         if pt in seen:
             raise DuplicatePoint(f"repeated evaluation point {pt}")
         seen.add(pt)
-    extra = [_normalize(pt, p) for pt in exceptional]
+    extra = [_point_on(space, pt, p) for pt in exceptional]
     allpts = regular + extra
     message_dim = sum(b.dim for b in bases)
     if message_dim == 0:
@@ -473,12 +475,9 @@ class ContractionReport:
 
 def zero_blocks(code: LinearCode) -> tuple[int, ...]:
     """Indices of the point blocks on which every codeword vanishes."""
-    r = code.r
     arr = code.generator.array
-    return tuple(
-        j for j in range(code.num_points)
-        if not arr[:, j * r:(j + 1) * r].any()
-    )
+    live = arr.reshape(arr.shape[0], code.num_points, code.r).any(axis=(0, 2))
+    return tuple(np.flatnonzero(~live).tolist())
 
 
 def _take_blocks(code: LinearCode, blocks, d_min=None) -> LinearCode:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -27,6 +28,7 @@ from hierdepth.agcode import (
     permute_points,
     vanishing_basis,
     zero_block_contract,
+    zero_blocks,
 )
 from hierdepth.errors import (
     DistanceUnknown,
@@ -174,6 +176,67 @@ def test_condition_functionals_are_capped(order, refused, monkeypatch):
 def test_negative_degree_with_conditions_is_refused_as_before(space, degree, point):
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         vanishing_basis(degree, [VanishingCondition(point, 2)], space, 5)
+
+
+def reference_condition_rows(degree, nvars, pt, order, p):
+    """Condition rows entry by entry, keyed by affine multi-index.
+
+    The pure-Python per-entry formula: at a normalized point, the entry of
+    multi-index i at the monomial with exponents f is the product over the
+    affine coordinates v of C(f_v, i_v) mod p * pt_v**(f_v - i_v), and zero
+    when some i_v exceeds f_v.
+    """
+    chart = next(v for v, c in enumerate(pt) if c)
+    affine = [v for v in range(nvars) if v != chart]
+    rows = {}
+    for multi in itertools.product(range(order), repeat=len(affine)):
+        if sum(multi) >= order:
+            continue
+        row = []
+        for expo in monomial_exponents(degree, nvars):
+            val = 1
+            for v, i in zip(affine, multi):
+                if expo[v] < i:
+                    val = 0
+                    break
+                val = (val * (math.comb(expo[v], i) % p) * pow(pt[v], expo[v] - i, p)) % p
+            row.append(val)
+        rows[multi] = row
+    return rows
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]),
+    st.sampled_from(["P1", "P2"]),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_condition_rows_match_the_per_entry_formula(p, space, data, rnd):
+    # Orders run past the degree and, at small p, past p: divided powers.
+    nvars = agcode.SPACES[space]
+    degree = data.draw(st.integers(0, 24 if space == "P1" else 9))
+    order = data.draw(st.integers(1, degree + 2))
+    chart = data.draw(st.integers(0, nvars - 1))
+    pt = (0,) * chart + (1,) + tuple(rnd.randrange(p) for _ in range(nvars - chart - 1))
+    want = reference_condition_rows(degree, nvars, pt, order, p)
+    # one row per multi-index, in monomial_exponents(order - 1) order
+    keys = [m[:chart] + m[chart + 1:] for m in monomial_exponents(order - 1, nvars)]
+    assert sorted(keys) == sorted(want)
+    assert agcode._condition_rows(degree, nvars, pt, order, p).tolist() == [
+        want[k] for k in keys
+    ]
+
+
+def test_the_largest_accepted_condition_build_stays_small():
+    # 1024 functionals over 1024 monomials: exactly MAX_FUNCTIONAL_CELLS.
+    tracemalloc.start()
+    try:
+        b = vanishing_basis(1023, [VanishingCondition((1, 3), 1024)], "P1", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.dim == 0
+    assert peak < 64 * 2**20
 
 
 class TestVanishingSpaces:
@@ -337,6 +400,24 @@ class TestBuildCode:
         assert b.dim == 0
         with pytest.raises(EmptyMessageSpace):
             build_code([b], [(1, 1)], 5)
+
+
+@pytest.mark.parametrize("space, pt", [
+    ("P2", (1, 2, 3, 4)), ("P2", (0, 0, 0, 1)), ("P2", (1, 2)),
+    ("P1", (1, 2, 3)), ("P1", (1,)), ("P1", ()),
+])
+@pytest.mark.parametrize("role", ["condition", "point", "exceptional", "evaluation"])
+def test_points_with_the_wrong_coordinate_count_are_refused(space, pt, role):
+    basis = vanishing_basis(2, [], space, 7)
+    good = (1,) * agcode.SPACES[space]
+    call = {
+        "condition": lambda: vanishing_basis(2, [VanishingCondition(pt)], space, 7),
+        "point": lambda: build_code([basis], [good, pt], 7),
+        "exceptional": lambda: build_code([basis], [good], 7, exceptional=[pt]),
+        "evaluation": lambda: evaluate_basis(basis, pt),
+    }[role]
+    with pytest.raises(ValueError, match=f"{space} points need {len(good)} coordinates"):
+        call()
 
 
 class TestReedSolomonGrid:
@@ -672,6 +753,43 @@ class TestContractionRandomized:
         )
         with pytest.raises(EmptyCode):
             mmp_compare(dead)
+
+
+def blocks_code(rows, r, num_points):
+    """A code with the given generator rows and r coordinates per point."""
+    n = r * num_points
+    return LinearCode(
+        p=5, r=r, points=tuple((1, j) for j in range(num_points)),
+        generator=FMatrix(5, rows, cols=n), k=0, message_dim=len(rows),
+    )
+
+
+@pytest.mark.parametrize("rows, r, num_points, dead", [
+    ([], 1, 3, (0, 1, 2)),  # no rows: every block is zero
+    ([], 2, 0, ()),  # no points
+    ([[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0]], 2, 3, (1,)),
+    ([[0, 0, 3, 0, 0, 0]], 3, 2, (1,)),
+    ([[0, 0, 0, 0, 0, 4]], 3, 2, (0,)),
+    ([[0, 0, 0, 0]], 2, 2, (0, 1)),
+])
+def test_zero_blocks_edges(rows, r, num_points, dead):
+    got = zero_blocks(blocks_code(rows, r, num_points))
+    assert got == dead
+    assert all(type(j) is int for j in got)
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 6), st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_zero_blocks_match_a_scan_of_every_block(r, num_points, k, rnd):
+    n = r * num_points
+    rows = [[rnd.choice([0, 0, 0, 1, 4]) for _ in range(n)] for _ in range(k)]
+    scan = tuple(
+        j for j in range(num_points)
+        if not any(any(row[j * r:(j + 1) * r]) for row in rows)
+    )
+    assert zero_blocks(blocks_code(rows, r, num_points)) == scan
 
 
 def test_normalized_distance_contract():
