@@ -163,24 +163,37 @@ def _taylor(values, degree: int, order: int, p: int) -> np.ndarray:
     return table
 
 
-def _condition_rows(degree, nvars, point, order, p) -> np.ndarray:
-    """Hasse-derivative functionals of order below `order` at a normalized point.
+def _condition_rows(degree, nvars, points, orders, p) -> np.ndarray:
+    """Hasse-derivative functionals at normalized points, stacked point by point.
 
-    A functional is a multi-index i of total order below `order`, zero in the
-    chart (the first nonzero coordinate, which is one). Its entry at the
-    monomial with exponents f is the product over v of C(f_v, i_v) *
-    point_v**(f_v - i_v), one gather per variable from the point's Taylor
-    table. In small characteristic the binomials implement divided powers,
-    so order-o vanishing is characterized correctly even when o exceeds p.
+    points is one point or a sequence of them, and orders the matching order
+    or orders. Point c contributes a functional per multi-index i of total
+    order below orders[c], zero in the chart (the first nonzero coordinate,
+    which is one). Its entry at the monomial with exponents f is the product
+    over v of C(f_v, i_v) * point_v**(f_v - i_v), one gather per variable
+    from a Taylor table. The points of one order share one table, only as
+    deep as that order, so a high-order point does not widen the table of
+    many low-order ones. In small characteristic the binomials implement
+    divided powers, so order-o vanishing is characterized correctly even
+    when o exceeds p.
     """
-    multi = np.array(monomial_exponents(order - 1, nvars))
-    multi[:, int(np.flatnonzero(point)[0])] = 0
+    if isinstance(orders, int):
+        points, orders = [points], [orders]
     monos = np.array(monomial_exponents(degree, nvars))
-    table = _taylor(point, degree, order, p)  # degree + 1 x nvars x order
-    rows = np.ones((len(multi), len(monos)), dtype=np.int64)
-    for v in range(nvars):
-        rows = rows * table[monos[None, :, v], v, multi[:, None, v]] % p
-    return rows
+    blocks = [None] * len(orders)
+    for order in set(orders):
+        group = [c for c, o in enumerate(orders) if o == order]
+        # degree + 1 x group x nvars x order
+        table = _taylor([points[c] for c in group], degree, order, p)
+        for k, c in enumerate(group):
+            multi = np.array(monomial_exponents(order - 1, nvars))
+            multi[:, int(np.flatnonzero(points[c])[0])] = 0
+            # table entries lie below p, so the first gather needs no reduction
+            rows = table[monos[None, :, 0], k, 0, multi[:, None, 0]]
+            for v in range(1, nvars):
+                rows = rows * table[monos[None, :, v], k, v, multi[:, None, v]] % p
+            blocks[c] = rows
+    return np.concatenate([np.zeros((0, len(monos)), dtype=np.int64), *blocks])
 
 
 def vanishing_basis(degree: int, conditions, space: str,
@@ -204,17 +217,18 @@ def vanishing_basis(degree: int, conditions, space: str,
         raise TooLarge(
             f"degree {degree} on {space} has {count} monomials, above the cap {MAX_MONOMIALS}"
         )
-    monos = monomial_exponents(degree, nvars)
-    clamped = [(_point_on(space, c.point, p), min(c.order, degree + 1)) for c in conditions]
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    points = [_point_on(space, c.point, p) for c in conditions]
+    orders = [min(c.order, degree + 1) for c in conditions]
     # order o gives one functional per multi-index of total order below o
-    functionals = sum(comb(o + nvars - 2, nvars - 1) for _, o in clamped)
+    functionals = sum(comb(o + nvars - 2, nvars - 1) for o in orders)
     if functionals * count**2 > MAX_FUNCTIONAL_CELLS:
         raise TooLarge(
             f"{functionals} condition functionals over {count} monomials exceed"
             f" the cap of {MAX_FUNCTIONAL_CELLS} functionals x monomials**2"
         )
-    rows = [_condition_rows(degree, nvars, point, order, p) for point, order in clamped]
-    rows = np.concatenate([np.zeros((0, len(monos)), dtype=np.int64), *rows])
+    rows = _condition_rows(degree, nvars, points, orders, p)
     basis = gf.kernel_basis(FMatrix(p, rows))
     return SectionBasis(space=space, degree=degree, p=p, basis=basis)
 

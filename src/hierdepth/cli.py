@@ -183,7 +183,7 @@ def _cmd_filtration(ns):
     base.update({
         "status": "ok",
         "length": filt.length,
-        "points": [hecke.point_at(j, p).label() for j in range(filt.length)],
+        "points": hecke.point_labels(filt.length, p),
         "dims": chain.dims,
         "det_degrees": chain.det_degrees,
         "verified": depth.verify_filtration(filt, target),

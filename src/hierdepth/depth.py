@@ -55,10 +55,15 @@ class HierFiltration:
         return len(self.increments)
 
     def top_determinant(self) -> DivisorClass:
-        total = self.lambda0
-        for d, k in Counter(self.increments).items():
-            total = total + k * d
-        return total
+        return _telescope(self.lambda0, Counter(self.increments))
+
+
+def _telescope(lambda0: DivisorClass, counts: Counter) -> DivisorClass:
+    """lambda0 plus every distinct increment times its count."""
+    total = lambda0
+    for d, k in counts.items():
+        total = total + k * d
+    return total
 
 
 def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
@@ -79,7 +84,7 @@ def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     for d in distinct:
         if d.is_zero or not is_effective(d):
             return False
-    return f.top_determinant() == target.det()
+    return _telescope(f.lambda0, distinct) == target.det()
 
 
 def curve_split_depth(degrees, lambda0_degree: int):

@@ -488,3 +488,36 @@ def test_chain_checks_the_prime_once(monkeypatch, degrees, steps):
     assert len(chain.picks) == steps
     assert len(chain.dims) == steps + 1
     assert calls == [101]
+
+
+@pytest.mark.parametrize("degrees, steps, p, cuts", [
+    ([40, 40, 20], 101, 101, 19),  # two blocks filled, the third takes 19 of 21
+    ([3, 1], 6, 101, 0),  # every block filled: no cut at all
+    ([5], 3, 101, 3),  # one block left part full
+    ([1, 1], 3, 2, 1),  # the part-full block is cut at infinity
+])
+def test_chain_cuts_only_the_part_full_block(monkeypatch, degrees, steps, p, cuts):
+    # Filled blocks end empty and unreached ones keep every section, so only
+    # the block the chain leaves part full goes through gf.cut; replaying the
+    # block-capacity picks through apply_transform gives the same final model.
+    calls = []
+    original = gf.cut
+    monkeypatch.setattr(gf, "cut", lambda *args: calls.append(1) or original(*args))
+    _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
+    monkeypatch.undo()
+    assert len(calls) == cuts
+    widths = chain.start.block_widths
+    assert chain.picks == tuple(i for i, w in enumerate(widths) for _ in range(w))[:steps]
+    current = chain.start
+    for j, i in enumerate(chain.picks):
+        e_i = tuple(int(k == i) for k in range(len(degrees)))
+        current = apply_transform(current, PointFunctional(point_at(j, p), e_i))
+    assert current == chain.final
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_point_labels_follow_point_at(p):
+    for count in range(p + 2):
+        assert hecke.point_labels(count, p) == [point_at(j, p).label() for j in range(count)]
+    with pytest.raises(IndexError):
+        hecke.point_labels(p + 2, p)

@@ -34,3 +34,11 @@ def test_commute_experiment_at_the_largest_prime():
     assert proc.returncode == 0, proc.stderr
     assert "F_2147483647: " in proc.stdout
     assert proc.stdout.endswith("all routes agree\n")
+
+
+def test_depth_examples_at_the_largest_prime():
+    # the constructed chain over F_(2**31 - 1), where products leave int64
+    proc = _run(ROOT / "scripts" / "depth_examples.py", "--field", "2147483647")
+    assert proc.returncode == 0, proc.stderr
+    assert "constructed chain over F_2147483647 for O(3)+O(1)+O(0)" in proc.stdout
+    assert "section dims along the chain" in proc.stdout
