@@ -6,9 +6,18 @@ with intersection pairing (picard), split bundles with slopes and profiles
 transforms on the projective line (hecke), block evaluation codes with
 exact minimum distance and zero-block contraction (agcode), and a JSON
 command line (cli).
+
+errors, picard, bundle and depth are pure integer and Fraction code and are
+imported with the package. gf, hecke and agcode compute over F_p with
+numpy; they and their names (hierdepth.Field, hierdepth.build_code, ...)
+are imported on first access (PEP 562), so `import hierdepth` loads no
+numpy.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
+    INFEASIBLE,
     DistanceUnknown,
     DuplicatePoint,
     EmptyCode,
@@ -26,7 +35,6 @@ from .errors import (
     VacuousTransform,
     WidthTooLarge,
 )
-from .gf import Field, FMatrix, dot_mod, kernel_basis, rank, rref
 from .picard import (
     NO_DECOMPOSITION,
     DivisorClass,
@@ -52,36 +60,63 @@ from .depth import (
     surface_split_depth,
     verify_filtration,
 )
-from .hecke import (
-    INFINITY,
-    PointFunctional,
-    RationalPoint,
-    SubsheafModel,
-    apply_transform,
-    build_curve_filtration,
-    commute_check,
-    enumerate_points,
-    first_usable_covector,
-    full_sections,
-    point_at,
-    probe_overlap,
-)
-from .agcode import (
-    DEFAULT_BUDGET,
-    INFEASIBLE,
-    LinearCode,
-    SectionBasis,
-    VanishingCondition,
-    all_rational_points,
-    append_zero_blocks,
-    build_code,
-    min_distance,
-    mmp_compare,
-    normalized_distance,
-    permute_points,
-    vanishing_basis,
-    zero_block_contract,
-    zero_blocks,
-)
+
+# Each name served on first access, with the module it comes from; a
+# module's own name stands for the module.
+_LAZY = {
+    name: module
+    for module, names in {
+        "gf": ("gf", "Field", "FMatrix", "dot_mod", "kernel_basis", "rank", "rref"),
+        "hecke": (
+            "hecke",
+            "INFINITY",
+            "PointFunctional",
+            "RationalPoint",
+            "SubsheafModel",
+            "apply_transform",
+            "build_curve_filtration",
+            "commute_check",
+            "enumerate_points",
+            "first_usable_covector",
+            "full_sections",
+            "point_at",
+            "probe_overlap",
+        ),
+        "agcode": (
+            "agcode",
+            "DEFAULT_BUDGET",
+            "LinearCode",
+            "SectionBasis",
+            "VanishingCondition",
+            "all_rational_points",
+            "append_zero_blocks",
+            "build_code",
+            "min_distance",
+            "mmp_compare",
+            "normalized_distance",
+            "permute_points",
+            "vanishing_basis",
+            "zero_block_contract",
+            "zero_blocks",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing a submodule binds it on the package, so its own name is
+    # looked up here only once; other names are read from the module each
+    # time, so they are always the module's current object
+    mod = _import_module(f".{module}", __name__)
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

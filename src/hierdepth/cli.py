@@ -10,6 +10,10 @@ refusals exit 2.
 Identical inputs produce byte-identical reports: keys are sorted, the
 rendering is fixed, and the seed only matters to randomized callers that
 embed it in their own configs.
+
+Only the subcommands that compute over F_p (filtration, hecke-verify,
+code-build, code-analyze, mmp-compare) load numpy; depth, mmp-depth and
+malformed arguments start and finish without it.
 """
 
 from __future__ import annotations
@@ -22,22 +26,36 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import agcode, depth, hecke
+# hecke and agcode load numpy: the F_p handlers read them as attributes of
+# the package, which imports each on first use, so depth and mmp-depth run
+# without numpy and a traced or patched function is the one that runs
+import hierdepth
+
+from . import depth
 from .bundle import SplitBundle, parse_bundle
 from .errors import INFEASIBLE, HierdepthError, NegativeM
 from .picard import Lattice, parse_class
-from .agcode import (
-    DEFAULT_BUDGET,
-    SPACES,
-    VanishingCondition,
-    all_rational_points,
-    build_code,
-    mmp_compare,
-    vanishing_basis,
-    zero_blocks,
-)
 
 DEFAULT_SEED = 0
+
+# agcode names that callers read as cli attributes (cli.build_code, ...);
+# each read is forwarded to agcode, so it returns agcode's current object
+_AGCODE_NAMES = frozenset({
+    "DEFAULT_BUDGET",
+    "SPACES",
+    "VanishingCondition",
+    "all_rational_points",
+    "build_code",
+    "mmp_compare",
+    "vanishing_basis",
+    "zero_blocks",
+})
+
+
+def __getattr__(name):
+    if name in _AGCODE_NAMES:
+        return getattr(hierdepth.agcode, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliInputError(Exception):
@@ -82,14 +100,14 @@ def _degrees(ns) -> list[int]:
     return degrees
 
 
-def _point(text: str, field_name: str, space: str, p: int) -> tuple[int, ...]:
+def _point(text: str, field_name: str, space: str, arity: int, p: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(t) for t in text.strip().split(":"))
     except ValueError:
         raise CliInputError(field_name, f"expected colon-separated integers, got {text!r}")
-    if len(coords) != SPACES[space]:
+    if len(coords) != arity:
         raise CliInputError(
-            field_name, f"{space} points need {SPACES[space]} coordinates, got {text!r}"
+            field_name, f"{space} points need {arity} coordinates, got {text!r}"
         )
     # p < 2 leaves nothing to reduce by; building the code refuses it as NotPrime
     if p > 1 and not any(c % p for c in coords):
@@ -158,6 +176,7 @@ def _cmd_mmp_depth(ns):
 
 
 def _cmd_filtration(ns):
+    hecke = hierdepth.hecke
     p = _int(ns.field, "field", "expected a prime integer")
     degrees = _degrees(ns)
     lam = _int(ns.lambda0, "lambda0", "expected an integer degree")
@@ -191,7 +210,7 @@ def _cmd_filtration(ns):
     return base
 
 
-def _hecke_point(text: str, field_name: str) -> hecke.RationalPoint:
+def _hecke_point(hecke, text: str, field_name: str):
     t = text.strip().lower()
     if t in ("inf", "infinity", "oo"):
         return hecke.INFINITY
@@ -200,12 +219,13 @@ def _hecke_point(text: str, field_name: str) -> hecke.RationalPoint:
 
 
 def _cmd_hecke_verify(ns):
+    hecke = hierdepth.hecke
     p = _int(ns.field, "field", "expected a prime integer")
     degrees = _degrees(ns)
     raw_points = (ns.points or "").split(",")
     if len(raw_points) != 2:
         raise CliInputError("points", "expected exactly two points, e.g. 0,1")
-    pts = [_hecke_point(t, "points") for t in raw_points]
+    pts = [_hecke_point(hecke, t, "points") for t in raw_points]
     model = hecke.full_sections(degrees, p)
     if ns.covectors:
         parts = ns.covectors.split(";")
@@ -249,6 +269,7 @@ def parse_code_config(path: str):
     explicit comma-separated point list. The section bases and the code
     are built only after every line has been checked.
     """
+    agcode = hierdepth.agcode
     values = {"summand": [], "exclude": [], "exceptional": []}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -275,8 +296,9 @@ def parse_code_config(path: str):
         raise CliInputError("p", "missing from config")
     p = _int(values["p"], "p", f"expected an integer, got {values['p']!r}")
     space = values.get("space", "P2").upper()
-    if space not in SPACES:
+    if space not in agcode.SPACES:
         raise CliInputError("space", f"expected P1 or P2, got {values.get('space')!r}")
+    arity = agcode.SPACES[space]
     if not values["summand"]:
         raise CliInputError("summand", "need at least one summand line")
     summands = []
@@ -290,34 +312,36 @@ def parse_code_config(path: str):
         if tail:
             for item in tail.split(","):
                 pt_text, _, order_text = item.strip().partition("@")
-                pt = _point(pt_text, "summand", space, p)
+                pt = _point(pt_text, "summand", space, arity, p)
                 order = _int(order_text or 1, "summand", f"bad order {order_text!r}")
                 if order < 1:
                     raise CliInputError("summand", f"order must be at least 1, got {order}")
-                conditions.append(VanishingCondition(pt, order))
+                conditions.append(agcode.VanishingCondition(pt, order))
         summands.append((degree, conditions))
     if "points" not in values:
         raise CliInputError("points", "missing from config")
     if values["points"].strip().lower() == "all-rational":
-        pts = all_rational_points(space, p)
+        pts = agcode.all_rational_points(space, p)
         excluded = {
-            agcode.normalize_point(_point(t, "exclude", space, p), p)
+            agcode.normalize_point(_point(t, "exclude", space, arity, p), p)
             for t in values["exclude"]
         }
         points = [pt for pt in pts if pt not in excluded]
     else:
         if values["exclude"]:
             raise CliInputError("exclude", "only valid with points = all-rational")
-        points = [_point(t, "points", space, p) for t in values["points"].split(",")]
-    exceptional = [_point(t, "exceptional", space, p) for t in values["exceptional"]]
+        points = [_point(t, "points", space, arity, p) for t in values["points"].split(",")]
+    exceptional = [_point(t, "exceptional", space, arity, p) for t in values["exceptional"]]
     if not points and not exceptional:
         raise CliInputError("exclude", "removes every point and no exceptional point is given")
-    text = values.get("budget", DEFAULT_BUDGET)
+    text = values.get("budget", agcode.DEFAULT_BUDGET)
     budget = _int(text, "budget", f"expected an integer, got {text!r}")
     if budget <= 0:
         raise CliInputError("budget", f"must be positive, got {budget}")
-    bases = [vanishing_basis(degree, conditions, space, p) for degree, conditions in summands]
-    return space, build_code(bases, points, p, exceptional=exceptional), budget
+    bases = [
+        agcode.vanishing_basis(degree, conditions, space, p) for degree, conditions in summands
+    ]
+    return space, agcode.build_code(bases, points, p, exceptional=exceptional), budget
 
 
 def _code_summary(space: str, code) -> dict:
@@ -329,7 +353,7 @@ def _code_summary(space: str, code) -> dict:
         "n": code.n,
         "k": code.k,
         "message_dim": code.message_dim,
-        "zero_blocks": list(zero_blocks(code)),
+        "zero_blocks": list(hierdepth.agcode.zero_blocks(code)),
     }
 
 
@@ -363,7 +387,7 @@ def _write_over(path: str, text: str) -> None:
 def _cmd_code_analyze(ns):
     space, code, budget = parse_code_config(ns.config)
     out = {"status": "ok", **_code_summary(space, code)}
-    comparison = mmp_compare(code, budget=budget)
+    comparison = hierdepth.agcode.mmp_compare(code, budget=budget)
     if comparison is INFEASIBLE:
         out.update({"d_min": "infeasible", "delta": None, "mmp": None})
         return out
@@ -382,7 +406,7 @@ def _cmd_code_analyze(ns):
 def _cmd_mmp_compare(ns):
     _, code, budget = parse_code_config(ns.config)
     out = {"p": code.p, "r": code.r}
-    comparison = mmp_compare(code, budget=budget)
+    comparison = hierdepth.agcode.mmp_compare(code, budget=budget)
     if comparison is INFEASIBLE:
         out.update({
             "status": "infeasible",

@@ -55,7 +55,28 @@ class HierFiltration:
         return len(self.increments)
 
     def top_determinant(self) -> DivisorClass:
-        return _telescope(self.lambda0, Counter(self.increments))
+        return _telescope(self.lambda0, _distinct(self.increments))
+
+
+def _distinct(increments) -> Counter:
+    """Each distinct increment with its count, hashing each run once.
+
+    A chain repeats one shared DivisorClass, and hashing one walks its
+    coefficients, its Lattice and the lattice kind, so a run of the
+    identical object is counted with `is` and hashed once.
+    """
+    counts = Counter()
+    run, k = None, 0
+    for d in increments:
+        if d is run:
+            k += 1
+        else:
+            if k:
+                counts[run] += k
+            run, k = d, 1
+    if k:
+        counts[run] += k
+    return counts
 
 
 def _telescope(lambda0: DivisorClass, counts: Counter) -> DivisorClass:
@@ -77,7 +98,7 @@ def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     if f.lambda0.lattice != lat:
         raise LatticeMismatch("lambda0 is in a different lattice")
     # each distinct increment once; every lattice first, so a mismatch wins
-    distinct = Counter(f.increments)
+    distinct = _distinct(f.increments)
     for d in distinct:
         if d.lattice != lat:
             raise LatticeMismatch("increment in a different lattice")

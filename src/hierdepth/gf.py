@@ -181,15 +181,21 @@ def rank(m: FMatrix) -> int:
 
 
 def _free_column_kernel(r: np.ndarray, p: int) -> np.ndarray:
-    """Kernel of a reduced echelon array with no zero rows, one row per free
-    column j in increasing order: 1 at j and -r[i, j] at row i's pivot."""
+    """Kernel of a reduced echelon array r with no zero rows, read with its
+    columns reversed: a basis of {v : r v[::-1] = 0}.
+
+    Free column j of r gives one row, 1 at n-1-j and -r[i, j] at n-1 minus
+    row i's pivot; rows run over j in decreasing order. Each entry is
+    written straight to that reversed place, so no reversed copy is made.
+    """
+    n = r.shape[1]
     lead = (r != 0).argmax(axis=1) if r.size else np.zeros(0, dtype=np.intp)
-    free = np.ones(r.shape[1], dtype=bool)
+    free = np.ones(n, dtype=bool)
     free[lead] = False
     free = np.flatnonzero(free)
-    k = np.zeros((free.size, r.shape[1]), dtype=np.int64)
-    k[np.arange(free.size), free] = 1
-    k[:, lead] = (-r[:, free].T) % p
+    k = np.zeros((free.size, n), dtype=np.int64)
+    k[np.arange(free.size - 1, -1, -1), n - 1 - free] = 1
+    k[:, n - 1 - lead] = ((-r[:, free].T) % p)[::-1]
     return k
 
 
@@ -197,11 +203,11 @@ def kernel_basis(m: FMatrix) -> FMatrix:
     """Canonical basis of the right kernel {v : M v^T = 0}.
 
     The result is itself in reduced echelon form, so equal kernels compare
-    equal as matrices. Row count is cols - rank(m). With M's columns
-    reversed, the free-column rows come out reversed in echelon form.
+    equal as matrices. Row count is cols - rank(m). The free-column kernel
+    of M with its columns reversed, read back reversed, is already that
+    echelon form.
     """
-    k = _free_column_kernel(_rref_array(m.array[:, ::-1], m.p), m.p)
-    return _trusted(m.p, np.ascontiguousarray(k[::-1, ::-1]))
+    return _trusted(m.p, _free_column_kernel(_rref_array(m.array[:, ::-1], m.p), m.p))
 
 
 def cut(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -280,8 +280,9 @@ def _same_point(a: RationalPoint, b: RationalPoint, p: int) -> bool:
 
 def _joint_kernel(m: SubsheafModel, f1, f2) -> FMatrix:
     # a row space is the kernel of its kernel, so stacking the functionals
-    # under the basis's kernel checks the transforms without any cut
-    rows = np.concatenate((gf._free_column_kernel(m.basis.array, m.p),
+    # under the basis's kernel checks the transforms without any cut; the
+    # free-column kernel reads columns reversed, so they are turned back
+    rows = np.concatenate((gf._free_column_kernel(m.basis.array, m.p)[:, ::-1],
                            [_functional_row(m, f1), _functional_row(m, f2)]))
     return gf.kernel_basis(FMatrix(m.p, rows, cols=m.basis.cols))
 

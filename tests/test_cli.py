@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -603,3 +604,131 @@ class TestOutputDiscipline:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 4
+
+
+NUMPY_FREE_REPORTS = {
+    "depth-curve": "depth --curve --degrees 3,1,0 --lambda0 0",
+    "depth-p2": "depth --surface p2 --bundle O(0)+O(3H) --lambda0 0",
+    "depth-p1xp1": "depth --surface p1xp1 --bundle O(2F1+3F2)+O(0) --lambda0 0",
+    "mmp-depth": "mmp-depth --hmin 5 --alpha 2,4 --beta 0,1",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE_REPORTS))
+def test_numpy_free_reports_are_byte_stable(name, fmt):
+    # tests/golden holds these reports as written while every subcommand
+    # still imported numpy at start-up; stdout must not change by a byte
+    suffix = {"json": "json", "text": "txt"}[fmt]
+    golden = ROOT / "tests" / "golden" / f"{name}.{suffix}"
+    rc, out, err = run(["--format", fmt, *NUMPY_FREE_REPORTS[name].split()])
+    assert (rc, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+
+def loaded():
+    return "numpy" in sys.modules
+
+import hierdepth
+assert not loaded(), "import hierdepth"
+from hierdepth import cli
+assert not loaded(), "import hierdepth.cli"
+
+def call(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as e:
+            return e.code
+
+for argv, rc in [
+    (["depth", "--curve", "--degrees", "3,1,0", "--lambda0", "0"], 0),
+    (["depth", "--surface", "p2", "--bundle", "O(0)+O(3H)", "--lambda0", "0"], 0),
+    (["mmp-depth", "--hmin", "5", "--alpha", "2,4", "--beta", "0,1"], 0),
+    (["mmp-depth", "--hmin", "5", "--alpha", "2,4", "--beta", "3,1"], 2),
+    (["depth", "--curve", "--degrees", "3,,1", "--lambda0", "0"], 1),
+    (["filtration", "--field", "5"], 1),
+    (["--help"], 0),
+]:
+    assert call(argv) == rc, argv
+    assert not loaded(), argv
+assert call(["filtration", "--field", "5", "--degrees", "3,1,0", "--lambda0", "0"]) == 0
+assert loaded(), "filtration"
+print("ok")
+"""
+
+
+def test_depth_subcommands_start_without_numpy():
+    # a fresh interpreter: the test session itself has numpy loaded
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        capture_output=True, text=True, env=module_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+# every name the package exported while it imported all its layers at
+# start-up, under the module that defines it
+PACKAGE_EXPORTS = {
+    "errors": (
+        "DistanceUnknown", "DuplicatePoint", "EmptyCode", "EmptyMessageSpace",
+        "HierdepthError", "INFEASIBLE", "LatticeMismatch", "NO_DECOMPOSITION",
+        "NO_FILTRATION", "NegativeM", "NotEffective", "NotEnoughPoints", "NotPrime",
+        "OverlappingSupport", "Sentinel", "ShapeMismatch", "TooLarge",
+        "VacuousTransform", "WidthTooLarge",
+    ),
+    "picard": (
+        "DivisorClass", "Lattice", "LatticeKind", "blowup_split", "decompose_max",
+        "intersect", "is_effective", "parse_class", "pullback",
+    ),
+    "bundle": ("HNProfile", "SplitBundle", "parse_bundle"),
+    "depth": (
+        "HierFiltration", "blowup_delta", "curve_split_depth", "depth_monotonic_check",
+        "mmp_exact_depth", "rank_one_bound", "slope_profile", "surface_split_depth",
+        "verify_filtration",
+    ),
+    "gf": ("FMatrix", "Field", "dot_mod", "kernel_basis", "rank", "rref"),
+    "hecke": (
+        "INFINITY", "PointFunctional", "RationalPoint", "SubsheafModel",
+        "apply_transform", "build_curve_filtration", "commute_check",
+        "enumerate_points", "first_usable_covector", "full_sections", "point_at",
+        "probe_overlap",
+    ),
+    "agcode": (
+        "DEFAULT_BUDGET", "LinearCode", "SectionBasis", "VanishingCondition",
+        "all_rational_points", "append_zero_blocks", "build_code", "min_distance",
+        "mmp_compare", "normalized_distance", "permute_points", "vanishing_basis",
+        "zero_block_contract", "zero_blocks",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_exports_every_earlier_name(module):
+    import hierdepth
+
+    defining = importlib.import_module(f"hierdepth.{module}")
+    listed = dir(hierdepth)
+    for name in (module, *PACKAGE_EXPORTS[module]):
+        ns = {}
+        exec(f"from hierdepth import {name} as got", ns)
+        want = defining if name == module else getattr(defining, name)
+        assert ns["got"] is want, name
+        assert getattr(hierdepth, name) is want, name
+        assert name in listed, name
+    with pytest.raises(AttributeError):
+        hierdepth.no_such_name
+
+
+def test_cli_still_reads_its_agcode_names():
+    # callers such as the benchmark's tracer read these as cli attributes
+    from hierdepth import agcode
+
+    for name in ("DEFAULT_BUDGET", "SPACES", "VanishingCondition", "all_rational_points",
+                 "build_code", "mmp_compare", "vanishing_basis", "zero_blocks"):
+        assert getattr(cli, name) is getattr(agcode, name), name
+    with pytest.raises(AttributeError):
+        cli.min_distance

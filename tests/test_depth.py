@@ -21,7 +21,7 @@ from hierdepth.depth import (
     verify_filtration,
 )
 from hierdepth.errors import LatticeMismatch, NotEffective, ShapeMismatch
-from hierdepth.picard import Lattice, decompose_max, pullback
+from hierdepth.picard import DivisorClass, Lattice, decompose_max, pullback
 
 CURVE = Lattice.curve()
 P2 = Lattice.p2()
@@ -239,6 +239,23 @@ class TestFiltrationRecords:
         assert verify_filtration(f, target)
         bad = HierFiltration(f.lambda0, steps[:50] + (lat.zero(),) + steps[50:], 2)
         assert not verify_filtration(bad, target)
+
+    def test_each_run_of_one_object_is_hashed_once(self, monkeypatch):
+        # a chain repeats one shared increment; hashing it walks the class,
+        # its lattice and the lattice kind, so each run is hashed once. An
+        # equal but distinct object still counts as the same increment.
+        lat = Lattice.blowup_p2(1)
+        a, b, a_copy = lat.divisor(1, 0), lat.divisor(0, 1), lat.divisor(1, 0)
+        steps = (a,) * 30 + (b,) * 20 + (a_copy,) * 10 + (a,) * 5
+        f = HierFiltration(lat.divisor(-3, 2), steps, 2)
+        target = SplitBundle((lat.divisor(42, 20), lat.divisor(0, 2)))
+        hashed = []
+        plain = DivisorClass.__hash__
+        monkeypatch.setattr(DivisorClass, "__hash__", lambda d: hashed.append(d) or plain(d))
+        assert verify_filtration(f, target)
+        assert f.top_determinant() == target.det()
+        # two calls, four runs, one lookup and one store per run
+        assert len(hashed) <= 2 * 4 * 2
 
     def test_blowup_delta_counts_exceptional_steps(self):
         f = self.chain_on_blowup()

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,22 @@ def test_kernel_basis_edge_shapes(p):
     assert k.tolist() == kernel_reference([[1, 2, 0, 3]], 4, p)
     assert k.array.dtype == np.int64
     assert k.array.flags.c_contiguous and not k.array.flags.writeable
+
+
+def test_large_kernel_is_held_once():
+    # three random rows over 1100 columns: a 1097 x 1100 kernel (9.2 MiB);
+    # written in place it is allocated once, a reversed copy would double it
+    rnd = np.random.default_rng(7)
+    m = FMatrix(101, rnd.integers(0, 101, size=(3, 1100)))
+    tracemalloc.start()
+    try:
+        k = kernel_basis(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k.array.nbytes >= 8 * 2**20
+    assert peak < 1.5 * k.array.nbytes
+    assert not dot_mod(m.array, k.array.T, 101).any()
 
 
 @given(
