@@ -9,13 +9,9 @@ subspace) are reported separately, not silently retried.
 import argparse
 import random
 
+from hierdepth.curve import point_at
 from hierdepth.errors import VacuousTransform
-from hierdepth.hecke import (
-    PointFunctional,
-    commute_check,
-    full_sections,
-    point_at,
-)
+from hierdepth.hecke import PointFunctional, commute_check, full_sections
 
 
 def run_trials(p, trials, rng):

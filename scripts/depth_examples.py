@@ -3,13 +3,13 @@
 import argparse
 
 from hierdepth.bundle import SplitBundle
+from hierdepth.curve import build_curve_filtration
 from hierdepth.depth import (
     NO_FILTRATION,
     curve_split_depth,
     mmp_exact_depth,
     surface_split_depth,
 )
-from hierdepth.hecke import build_curve_filtration
 from hierdepth.picard import Lattice, decompose_max
 
 

@@ -1,17 +1,16 @@
 """Exact computation for hierarchical filtrations of split vector bundles.
 
-The toolkit covers prime-field linear algebra (gf), divisor-class lattices
-with intersection pairing (picard), split bundles with slopes and profiles
-(bundle), depth formulas with bounds and transfer laws (depth), elementary
-transforms on the projective line (hecke), block evaluation codes with
-exact minimum distance and zero-block contraction (agcode), and a JSON
-command line (cli).
+The toolkit covers prime moduli (field), prime-field linear algebra (gf),
+divisor-class lattices with intersection pairing (picard), split bundles
+with slopes and profiles (bundle), depth formulas with bounds and transfer
+laws (depth), transform chains (curve) and elementary transforms (hecke)
+on the line, block evaluation codes with exact minimum distance and
+zero-block contraction (agcode), and a JSON command line (cli).
 
-errors, picard, bundle and depth are pure integer and Fraction code and are
-imported with the package. gf, hecke and agcode compute over F_p with
-numpy; they and their names (hierdepth.Field, hierdepth.build_code, ...)
-are imported on first access (PEP 562), so `import hierdepth` loads no
-numpy.
+errors, picard, bundle and depth are imported with the package. field and
+curve (pure integer code), gf, hecke and agcode (numpy) and their names
+(hierdepth.Field, hierdepth.build_code, ...) are imported on first access
+(PEP 562), so `import hierdepth` loads no numpy.
 """
 
 from importlib import import_module as _import_module
@@ -66,20 +65,18 @@ from .depth import (
 _LAZY = {
     name: module
     for module, names in {
-        "gf": ("gf", "Field", "FMatrix", "dot_mod", "kernel_basis", "rank", "rref"),
+        "field": ("field", "Field"),
+        "gf": ("gf", "FMatrix", "dot_mod", "kernel_basis", "rank", "rref"),
+        "curve": ("curve", "INFINITY", "RationalPoint", "build_curve_filtration",
+                  "enumerate_points", "point_at"),
         "hecke": (
             "hecke",
-            "INFINITY",
             "PointFunctional",
-            "RationalPoint",
             "SubsheafModel",
             "apply_transform",
-            "build_curve_filtration",
             "commute_check",
-            "enumerate_points",
             "first_usable_covector",
             "full_sections",
-            "point_at",
             "probe_overlap",
         ),
         "agcode": (

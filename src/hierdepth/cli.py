@@ -11,9 +11,9 @@ Identical inputs produce byte-identical reports: keys are sorted, the
 rendering is fixed, and the seed only matters to randomized callers that
 embed it in their own configs.
 
-Only the subcommands that compute over F_p (filtration, hecke-verify,
-code-build, code-analyze, mmp-compare) load numpy; depth, mmp-depth and
-malformed arguments start and finish without it.
+Only hecke-verify, code-build, code-analyze and mmp-compare load numpy;
+depth, mmp-depth, filtration (a closed-form chain) and malformed arguments
+start and finish without it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-# hecke and agcode load numpy: the F_p handlers read them as attributes of
-# the package, which imports each on first use, so depth and mmp-depth run
-# without numpy and a traced or patched function is the one that runs
+# curve, hecke and agcode are read as attributes of the package, which
+# imports each on first use (hecke and agcode load numpy), so depth and
+# mmp-depth load none and a traced or patched function is the one that runs
 import hierdepth
 
 from . import depth
@@ -176,7 +176,7 @@ def _cmd_mmp_depth(ns):
 
 
 def _cmd_filtration(ns):
-    hecke = hierdepth.hecke
+    curve = hierdepth.curve
     p = _int(ns.field, "field", "expected a prime integer")
     degrees = _degrees(ns)
     lam = _int(ns.lambda0, "lambda0", "expected an integer degree")
@@ -186,7 +186,7 @@ def _cmd_filtration(ns):
         "lambda0": lam,
     }
     try:
-        filt, chain = hecke.build_curve_filtration(degrees, lam, p)
+        filt, chain = curve.build_curve_filtration(degrees, lam, p)
     except NegativeM:
         base.update({
             "status": "no-filtration",
@@ -197,12 +197,12 @@ def _cmd_filtration(ns):
             "verified": None,
         })
         return base
-    curve = Lattice.curve()
-    target = SplitBundle(tuple(curve.divisor(d) for d in degrees))
+    line = Lattice.curve()
+    target = SplitBundle(tuple(line.divisor(d) for d in degrees))
     base.update({
         "status": "ok",
         "length": filt.length,
-        "points": hecke.point_labels(filt.length, p),
+        "points": curve.point_labels(filt.length, p),
         "dims": chain.dims,
         "det_degrees": chain.det_degrees,
         "verified": depth.verify_filtration(filt, target),
@@ -210,12 +210,12 @@ def _cmd_filtration(ns):
     return base
 
 
-def _hecke_point(hecke, text: str, field_name: str):
+def _hecke_point(text: str, field_name: str):
     t = text.strip().lower()
     if t in ("inf", "infinity", "oo"):
-        return hecke.INFINITY
+        return hierdepth.curve.INFINITY
     message = f"expected an integer or 'inf', got {text!r}"
-    return hecke.RationalPoint.affine(_int(t, field_name, message))
+    return hierdepth.curve.RationalPoint.affine(_int(t, field_name, message))
 
 
 def _cmd_hecke_verify(ns):
@@ -225,7 +225,7 @@ def _cmd_hecke_verify(ns):
     raw_points = (ns.points or "").split(",")
     if len(raw_points) != 2:
         raise CliInputError("points", "expected exactly two points, e.g. 0,1")
-    pts = [_hecke_point(hecke, t, "points") for t in raw_points]
+    pts = [_hecke_point(t, "points") for t in raw_points]
     model = hecke.full_sections(degrees, p)
     if ns.covectors:
         parts = ns.covectors.split(";")

@@ -19,35 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPrime
-
-MAX_MODULUS = 2**31
-
-# Miller-Rabin on these bases is exact below 3 215 031 751 > MAX_MODULUS.
-_WITNESSES = (2, 3, 5, 7)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+from .field import Field
 
 
 def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -59,18 +31,6 @@ def dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if a.shape[-1] * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
-
-
-class Field:
-    """Prime field of order p; construction checks p is a prime in [2, 2**31]."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        p = int(p)
-        if p < 2 or p > MAX_MODULUS or not _is_prime(p):
-            raise NotPrime(f"{p} is not a prime in [2, 2**31]")
-        self.p = p
 
 
 class FMatrix:
@@ -130,7 +90,7 @@ class FMatrix:
 
 
 def _trusted(p: int, a: np.ndarray) -> FMatrix:
-    """FMatrix of an array gf or hecke reduced: no checks, no copy; made read-only."""
+    """FMatrix of an array gf reduced: no checks, no copy; made read-only."""
     m = FMatrix.__new__(FMatrix)
     m.p, m._a = p, a
     a.setflags(write=False)

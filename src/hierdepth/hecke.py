@@ -13,21 +13,8 @@ at the point at infinity [1:0] reads the top coefficient of each block.
 The transform is refused as vacuous when the functional already vanishes
 on the whole subspace, since then no colength-one modification happens.
 
-The filtration builder uses standard covectors only, so each of its steps
-cuts one summand's block and leaves the others alone: the subspace stays
-the direct sum of one subspace per summand, and transforms at distinct
-points commute. A block of width w_i that takes w_i points ends empty,
-since no nonzero polynomial of degree below w_i vanishes at w_i distinct
-points, and a block no step reaches keeps every section. So the builder
-cuts only the one block the chain leaves part full, in a raw echelon
-array with a power table over that block's points, and assembles the
-final basis block-diagonally once, wrapped without re-checking it.
-
-When the plain section space is too thin to carry all requested steps
-(negative degrees contribute nothing), the filtration builder shifts every
-summand by a uniform twist. Transform kernels commute with twisting, and
-depth is invariant under it, so the ledger still tracks the untwisted
-determinant degree.
+A chain's start and final models (curve.TransformChain) are joint kernels
+built here when read; curve.MAX_WIDTH bounds a chain only through them.
 """
 
 from __future__ import annotations
@@ -38,64 +25,10 @@ from itertools import accumulate
 import numpy as np
 
 from . import gf
-from .depth import HierFiltration
-from .errors import (
-    NegativeM,
-    NotEnoughPoints,
-    OverlappingSupport,
-    VacuousTransform,
-    WidthTooLarge,
-)
-from .gf import Field, FMatrix
-from .picard import Lattice
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    """Point of the projective line: an element of F_p, or infinity [1:0]."""
-
-    coord: int | None = None
-
-    @classmethod
-    def affine(cls, value: int) -> "RationalPoint":
-        return cls(int(value))
-
-    @classmethod
-    def infinity(cls) -> "RationalPoint":
-        return cls(None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.coord is None
-
-    def label(self) -> str:
-        return "inf" if self.is_infinity else str(self.coord)
-
-    def __repr__(self) -> str:
-        return f"RationalPoint({self.label()})"
-
-
-INFINITY = RationalPoint.infinity()
-
-
-def point_at(j: int, p: int) -> RationalPoint:
-    """The j-th rational point in the fixed order 0, 1, ..., p-1, inf."""
-    if not 0 <= j <= p:
-        raise IndexError(f"point index {j} outside 0..{p}")
-    return INFINITY if j == p else RationalPoint.affine(j)
-
-
-def point_labels(count: int, p: int) -> list[str]:
-    """Labels of point_at(0, p), ..., point_at(count - 1, p), in that order."""
-    if not 0 <= count <= p + 1:
-        raise IndexError(f"point count {count} outside 0..{p + 1}")
-    return [str(j) for j in range(min(count, p))] + [INFINITY.label()] * (count - p)
-
-
-def enumerate_points(p: int) -> list[RationalPoint]:
-    """The p + 1 rational points in the fixed order of point_at."""
-    Field(p)
-    return [point_at(j, p) for j in range(p + 1)]
+from .curve import RationalPoint, _check_width, _widths
+from .errors import OverlappingSupport, VacuousTransform
+from .field import Field
+from .gf import FMatrix
 
 
 @dataclass(frozen=True)
@@ -119,9 +52,9 @@ class SubsheafModel:
     degrees holds the untwisted summand degrees; twist is the uniform
     shift applied to every block in the stored coordinates; det_degree
     ledgers the untwisted determinant degree, dropping by one per
-    transform. The basis is in reduced echelon form: the constructors
-    start from an identity and each transform keeps the form, so no step
-    re-checks it; the filtration chain and the joint kernel rely on it.
+    transform. The basis is in reduced echelon form: full_sections starts
+    from an identity, a chain's models are kernels and each transform keeps
+    the form, so no step re-checks it; the joint kernel relies on it.
     """
 
     degrees: tuple[int, ...]
@@ -143,34 +76,12 @@ class SubsheafModel:
         return _widths(self.degrees, self.twist)
 
 
-def _widths(degrees, twist: int) -> tuple[int, ...]:
-    """Block widths of the summands twisted by twist: d + twist + 1, or 0."""
-    return tuple(max(d + twist + 1, 0) for d in degrees)
-
-
-# Widest section space a model may have. The chain cuts only the block it
-# leaves part full, so it costs w_j**2 per point for that block's width w_j,
-# and nothing for the blocks it fills or does not reach. The worst case is
-# one summand holding the whole width: a full chain at this width then takes
-# 0.04 s at p = 100003 and 0.8 s at p = 2**31 - 1, where dot_mod computes
-# over Python integers. The starting and final models each hold at most
-# MAX_WIDTH**2 int64 entries (1.1 MiB).
-MAX_WIDTH = 384
-
-
-def _check_width(width: int) -> None:
-    if width > MAX_WIDTH:
-        raise WidthTooLarge(
-            f"section space width {width} exceeds the maximum {MAX_WIDTH}"
-        )
-
-
 def full_sections(degrees, p: int) -> SubsheafModel:
     """Model holding every section of O(d_1) + ... + O(d_r).
 
     The dimension is the sum of d_i + 1 over nonnegative degrees; summands
     of negative degree contribute zero-width blocks. Raises WidthTooLarge
-    when the dimension exceeds MAX_WIDTH.
+    when the dimension exceeds curve.MAX_WIDTH.
     """
     p = Field(p).p
     degrees = tuple(int(d) for d in degrees)
@@ -204,19 +115,6 @@ def _point_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
         elif w:
             rows[off:off + w, i] = pw[:w]
     return rows
-
-
-def _first_usable(values, point: RationalPoint) -> tuple[int, np.ndarray]:
-    """The covector selection rule: the first block with nonzero values.
-
-    values yields (block index, values of the sections at point on that
-    block) in block order, and is read only up to the block chosen.
-    Returns that index and its values.
-    """
-    for i, v in values:
-        if v.any():
-            return i, v
-    raise VacuousTransform(f"no usable covector at point {point.label()}")
 
 
 def _functional_row(m: SubsheafModel, phi: PointFunctional) -> np.ndarray:
@@ -253,8 +151,10 @@ def first_usable_covector(m: SubsheafModel,
     at the point.
     """
     values = gf.dot_mod(m.basis.array, _point_rows(m, point), m.p)
-    i, _ = _first_usable(enumerate(values.T), point)
-    return PointFunctional(point, tuple(int(k == i) for k in range(m.rank)))
+    for i, v in enumerate(values.T):
+        if v.any():
+            return PointFunctional(point, tuple(int(k == i) for k in range(m.rank)))
+    raise VacuousTransform(f"no usable covector at point {point.label()}")
 
 
 @dataclass(frozen=True)
@@ -285,6 +185,28 @@ def _joint_kernel(m: SubsheafModel, f1, f2) -> FMatrix:
     rows = np.concatenate((gf._free_column_kernel(m.basis.array, m.p)[:, ::-1],
                            [_functional_row(m, f1), _functional_row(m, f2)]))
     return gf.kernel_basis(FMatrix(m.p, rows, cols=m.basis.cols))
+
+
+def _chain_final(chain) -> SubsheafModel:
+    """The subsheaf after a curve.TransformChain's last step.
+
+    Its transforms sit at distinct points, so they commute and end on the
+    joint kernel of their functionals, a steps x width matrix. Row j is
+    _functional_row for e_i, i = picks[j], at point_at(j, p): the powers of
+    j across block i from one table, or at infinity the block's top entry.
+    """
+    p, picks = chain.p, chain.picks
+    widths = _widths(chain.degrees, chain.twist)
+    offsets = list(accumulate(widths, initial=0))
+    pw = _powers(range(min(len(picks), p)), p, widths)
+    rows = np.zeros((len(picks), offsets[-1]), dtype=np.int64)
+    for j, i in enumerate(picks):
+        if j < p:
+            rows[j, offsets[i]:offsets[i + 1]] = pw[j, :widths[i]]
+        else:
+            rows[j, offsets[i + 1] - 1] = 1
+    basis = gf.kernel_basis(FMatrix(p, rows, cols=offsets[-1]))
+    return SubsheafModel(chain.degrees, chain.twist, p, basis, chain.det_degrees[-1])
 
 
 def _three_routes(m, f1, f2) -> CommuteReport:
@@ -332,114 +254,3 @@ def probe_overlap(m: SubsheafModel, f1: PointFunctional,
     return _three_routes(m, f1, f2)
 
 
-def _choose_twist(degrees, steps: int) -> int:
-    # Up to twist -1 - max(degrees) every block is empty, so the search can
-    # start there unless no step is needed; from there it takes at most
-    # steps turns, since the widest block grows by one per turn.
-    twist = max(0, -1 - max(degrees)) if steps else 0
-    while sum(_widths(degrees, twist)) < steps:
-        twist += 1
-    return twist
-
-
-@dataclass(frozen=True)
-class TransformChain:
-    """A chain of transforms at the points point_at(0, p), point_at(1, p), ...
-
-    start is the twisted full section space and final the subsheaf after
-    the last step; step j used the standard covector e_i with i = picks[j].
-    Each step drops the dimension and the determinant ledger by one.
-    """
-
-    start: SubsheafModel
-    picks: tuple[int, ...]
-    final: SubsheafModel
-
-    @property
-    def dims(self) -> list[int]:
-        return list(range(self.start.dim, self.final.dim - 1, -1))
-
-    @property
-    def det_degrees(self) -> list[int]:
-        return list(range(self.start.det_degree, self.final.det_degree - 1, -1))
-
-
-def _block_values(block: np.ndarray, powers, p: int) -> np.ndarray:
-    """Values at one point of the sections a block's rows hold: by the
-    powers of an affine point, or at infinity (powers None) by the top
-    coefficient."""
-    if powers is None:
-        return block[:, -1]
-    return gf.dot_mod(block, powers[:block.shape[1]], p)
-
-
-def build_curve_filtration(degrees, lambda0_degree: int, p: int):
-    """Maximal-depth chain of skyscraper transforms at distinct points.
-
-    With M = sum(degrees) - lambda0_degree, performs M transforms at the
-    points point_at(0, p), ..., point_at(M - 1, p), choosing at each step
-    the first usable standard covector on the current subspace, as
-    first_usable_covector does. Returns the determinant-level filtration
-    (read bottom-up) together with the TransformChain from the full
-    section space down to the final subsheaf.
-
-    Raises NegativeM when the budget is negative, NotEnoughPoints when
-    M exceeds the p + 1 rational points, and WidthTooLarge when the
-    twisted section space is wider than MAX_WIDTH.
-    """
-    p = Field(p).p
-    degrees = tuple(int(d) for d in degrees)
-    if not degrees:
-        raise ValueError("need at least one summand degree")
-    steps = sum(degrees) - int(lambda0_degree)
-    if steps < 0:
-        raise NegativeM(f"degree budget {steps} is negative")
-    if steps > p + 1:
-        raise NotEnoughPoints(
-            f"{steps} transforms need {steps} distinct points; only "
-            f"{p + 1} available over F_{p}"
-        )
-    # the twisted width is at least steps; checking steps first keeps
-    # _choose_twist from searching up to a huge twist
-    _check_width(steps)
-    twist = _choose_twist(degrees, steps)
-    widths = _widths(degrees, twist)
-    _check_width(sum(widths))
-    # Transforms at distinct points with standard covectors commute, and no
-    # nonzero polynomial of degree below w vanishes at w distinct points, so
-    # step j uses e_i for the first block i that has taken fewer than w_i
-    # points. A block the chain fills ends empty without a cut, a block it
-    # does not reach keeps every section, and only the one block it leaves
-    # part full is cut, point by point.
-    offsets = list(accumulate(widths, initial=0))
-    taken = [min(max(steps - off, 0), w) for w, off in zip(widths, offsets)]
-    picks = tuple(i for i, k in enumerate(taken) for _ in range(k))
-    blocks = [np.eye(w, dtype=np.int64) if k < w else np.zeros((0, w), dtype=np.int64)
-              for w, k in zip(widths, taken)]
-    for i in (i for i, (w, k) in enumerate(zip(widths, taken)) if 0 < k < w):
-        first, stop = offsets[i], offsets[i] + taken[i]
-        pw = _powers(range(first, min(stop, p)), p, [widths[i]])
-        for j in range(first, stop):
-            q = pw[j - first] if j < p else None
-            _, v = _first_usable([(i, _block_values(blocks[i], q, p))], point_at(j, p))
-            blocks[i] = gf.cut(blocks[i], v, p)
-    rows = [b.shape[0] for b in blocks]
-    a = np.zeros((sum(rows), sum(widths)), dtype=np.int64)
-    corners = zip(accumulate(rows, initial=0), accumulate(widths, initial=0))
-    for b, (r, c) in zip(blocks, corners):
-        a[r:r + b.shape[0], c:c + b.shape[1]] = b
-    chain = TransformChain(
-        start=SubsheafModel(degrees, twist, p,
-                            gf._trusted(p, np.eye(sum(widths), dtype=np.int64)),
-                            sum(degrees)),
-        picks=picks,
-        final=SubsheafModel(degrees, twist, p, gf._trusted(p, a),
-                            sum(degrees) - steps),
-    )
-    curve = Lattice.curve()
-    filtration = HierFiltration(
-        lambda0=curve.divisor(int(lambda0_degree)),
-        increments=(curve.divisor(1),) * steps,
-        bundle_rank=len(degrees),
-    )
-    return filtration, chain

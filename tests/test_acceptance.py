@@ -32,14 +32,13 @@ from hierdepth.depth import (
     mmp_exact_depth,
     verify_filtration,
 )
+from hierdepth.curve import build_curve_filtration, enumerate_points
 from hierdepth.errors import NegativeM, VacuousTransform
 from hierdepth.gf import FMatrix
 from hierdepth.hecke import (
     PointFunctional,
     apply_transform,
-    build_curve_filtration,
     commute_check,
-    enumerate_points,
     full_sections,
 )
 from hierdepth.picard import Lattice, decompose_max, intersect

@@ -143,18 +143,29 @@ class TestFiltrationCommand:
         assert rep["det_degrees"] == [4, 3, 2, 1, 0]
         assert rep["points"] == ["0", "1", "2", "3"]
 
-    @pytest.mark.parametrize("name, argv", [
+    GOLDEN_ARGV = [
         ("readme", "--field 5 --degrees 3,1,0 --lambda0 0"),
         ("twisted", "--field 5 --degrees 0,-3 --lambda0 -5"),
         ("every-point", "--field 2 --degrees 1,1 --lambda0 -1"),
         ("three-blocks", "--field 101 --degrees 40,40,20 --lambda0 0"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, argv", GOLDEN_ARGV)
     def test_report_is_byte_stable(self, name, argv):
         # tests/golden holds these reports as written before the chain was
         # cut block by block; stdout must not change by a byte
         golden = ROOT / "tests" / "golden" / f"filtration-{name}.json"
         rc, out, err = run(["filtration", *argv.split()])
         assert rc == 0, err
+        assert out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name, argv", GOLDEN_ARGV)
+    def test_text_report_is_byte_stable(self, name, argv):
+        # the same reports in --format text, as written while the chain
+        # still built its final basis
+        golden = ROOT / "tests" / "golden" / f"filtration-{name}.txt"
+        rc, out, err = run(["--format", "text", "filtration", *argv.split()])
+        assert (rc, err) == (0, "")
         assert out == golden.read_text(encoding="utf-8")
 
     def test_overdrawn_budget(self):
@@ -651,18 +662,26 @@ for argv, rc in [
     (["mmp-depth", "--hmin", "5", "--alpha", "2,4", "--beta", "3,1"], 2),
     (["depth", "--curve", "--degrees", "3,,1", "--lambda0", "0"], 1),
     (["filtration", "--field", "5"], 1),
+    (["filtration", "--field", "5", "--degrees", "3,1,0", "--lambda0", "0"], 0),
+    (["filtration", "--field", "101", "--degrees", "40,40,20", "--lambda0", "0"], 0),
+    (["filtration", "--field", "5", "--degrees", "1", "--lambda0", "3"], 0),
+    (["filtration", "--field", "6", "--degrees", "3,1,0", "--lambda0", "0"], 2),
+    (["filtration", "--field", "2", "--degrees", "2", "--lambda0", "-2"], 2),
+    (["filtration", "--field", "7", "--degrees", "384", "--lambda0", "382"], 2),
     (["--help"], 0),
 ]:
     assert call(argv) == rc, argv
     assert not loaded(), argv
-assert call(["filtration", "--field", "5", "--degrees", "3,1,0", "--lambda0", "0"]) == 0
-assert loaded(), "filtration"
+assert call(["hecke-verify", "--field", "7", "--degrees", "2,1", "--points", "0,1"]) == 0
+assert loaded(), "hecke-verify"
 print("ok")
 """
 
 
 def test_depth_subcommands_start_without_numpy():
-    # a fresh interpreter: the test session itself has numpy loaded
+    # a fresh interpreter: the test session itself has numpy loaded. The
+    # filtration cases are an ok report, no-filtration, and the refusals
+    # NotPrime, NotEnoughPoints and WidthTooLarge; hecke-verify needs numpy
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE],
         capture_output=True, text=True, env=module_env(), timeout=120,
@@ -690,12 +709,15 @@ PACKAGE_EXPORTS = {
         "mmp_exact_depth", "rank_one_bound", "slope_profile", "surface_split_depth",
         "verify_filtration",
     ),
-    "gf": ("FMatrix", "Field", "dot_mod", "kernel_basis", "rank", "rref"),
+    "field": ("Field",),
+    "gf": ("FMatrix", "dot_mod", "kernel_basis", "rank", "rref"),
+    "curve": (
+        "INFINITY", "RationalPoint", "build_curve_filtration", "enumerate_points",
+        "point_at",
+    ),
     "hecke": (
-        "INFINITY", "PointFunctional", "RationalPoint", "SubsheafModel",
-        "apply_transform", "build_curve_filtration", "commute_check",
-        "enumerate_points", "first_usable_covector", "full_sections", "point_at",
-        "probe_overlap",
+        "PointFunctional", "SubsheafModel", "apply_transform", "commute_check",
+        "first_usable_covector", "full_sections", "probe_overlap",
     ),
     "agcode": (
         "DEFAULT_BUDGET", "LinearCode", "SectionBasis", "VanishingCondition",

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hierdepth import gf, hecke
+from hierdepth import curve, gf, hecke
 from hierdepth.errors import NotPrime, VacuousTransform
+from hierdepth.field import _is_prime
 from hierdepth.gf import Field, FMatrix, dot_mod, kernel_basis, rank, rref
 
 FIELDS = [2, 5, 7]
@@ -166,20 +167,20 @@ def test_prime_check_matches_trial_division_below_200000():
     for d in range(2, int(limit**0.5) + 1):
         if sieve[d]:
             sieve[d * d::d] = False
-    assert [n for n in range(limit) if gf._is_prime(n)] == list(np.flatnonzero(sieve))
+    assert [n for n in range(limit) if _is_prime(n)] == list(np.flatnonzero(sieve))
 
 
 def test_prime_check_rejects_strong_pseudoprimes():
     # strong pseudoprimes to base 2; to bases 2, 3; to bases 2, 3, 5
     for n in (2047, 1_373_653, 25_326_001):
         assert not trial_division(n)
-        assert not gf._is_prime(n)
+        assert not _is_prime(n)
 
 
 def test_prime_check_matches_trial_division_near_2_31():
     rnd = random.Random(31)
     for n in [rnd.randrange(2**30, 2**31 + 1) for _ in range(2000)] + [BIG]:
-        assert gf._is_prime(n) == trial_division(n), n
+        assert _is_prime(n) == trial_division(n), n
 
 
 @pytest.mark.parametrize("p", [2, 5, 2**20 + 7, BIG])
@@ -230,8 +231,8 @@ def _trusted_refs(node):
 
 def test_trusted_wraps_sit_where_pinned():
     # gf._trusted skips the prime check and the reduction, so only code that
-    # produced the reduced array itself may call it: the transform chain and
-    # gf's own echelon and kernel results. Scripts are outside callers.
+    # produced the reduced array itself may call it: gf's own echelon and
+    # kernel results. Scripts are outside callers.
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     found = set()
     for path in sorted(Path(gf.__file__).parent.glob("*.py")) + sorted(scripts.glob("*.py")):
@@ -240,7 +241,7 @@ def test_trusted_wraps_sit_where_pinned():
         found |= {f"{path.stem}.{f.name}" for f in functions if _trusted_refs(f)}
         if _trusted_refs(tree) > sum(_trusted_refs(f) for f in functions):
             found.add(f"{path.stem}.<module>")
-    assert found == {"hecke.build_curve_filtration", "gf.rref", "gf.kernel_basis"}
+    assert found == {"gf.rref", "gf.kernel_basis"}
 
 
 def rref_rowwise(a, p):
@@ -397,11 +398,11 @@ def test_subspace_kernel_matches_coefficient_kernel(p, degrees, steps, rnd):
     m = hecke.full_sections(degrees, p)
     for _ in range(steps):
         try:
-            m = hecke.apply_transform(m, functional(hecke.point_at(rnd.randrange(p + 1), p)))
+            m = hecke.apply_transform(m, functional(curve.point_at(rnd.randrange(p + 1), p)))
         except VacuousTransform:
             pass
     i, j = rnd.sample(range(p + 1), 2)
-    f1, f2 = functional(hecke.point_at(i, p)), functional(hecke.point_at(j, p))
+    f1, f2 = functional(curve.point_at(i, p)), functional(curve.point_at(j, p))
     functionals = np.stack([hecke._functional_row(m, f) for f in (f1, f2)])
     got = hecke._joint_kernel(m, f1, f2)
     assert got == subspace_kernel_reference(m.basis, functionals)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_gf import rref_rowwise
 
-from hierdepth import gf, hecke
+from hierdepth import agcode, curve, field, gf, hecke
+from hierdepth.curve import (
+    INFINITY,
+    MAX_WIDTH,
+    RationalPoint,
+    build_curve_filtration,
+    enumerate_points,
+    point_at,
+)
 from hierdepth.depth import curve_split_depth, verify_filtration
 from hierdepth.bundle import SplitBundle
 from hierdepth.errors import (
+    INFEASIBLE,
     NegativeM,
     NotEnoughPoints,
     OverlappingSupport,
@@ -21,17 +31,11 @@ from hierdepth.errors import (
     WidthTooLarge,
 )
 from hierdepth.hecke import (
-    INFINITY,
-    MAX_WIDTH,
     PointFunctional,
-    RationalPoint,
     apply_transform,
-    build_curve_filtration,
     commute_check,
-    enumerate_points,
     first_usable_covector,
     full_sections,
-    point_at,
     probe_overlap,
 )
 from hierdepth.picard import Lattice
@@ -378,16 +382,17 @@ class TestBuildChain:
             build_curve_filtration([10**6], 0, 2**31 - 1)  # 10**6 steps
 
     def test_widest_chain_keeps_no_step_basis(self):
-        # each summand is cut in its own array and only the final basis is
-        # kept, so 382 steps at the full width hold a few MAX_WIDTH**2
-        # arrays (1.1 MiB each), not one per step (217 MiB)
+        # the final basis is one kernel of the chain's functionals, so 382
+        # steps at the full width hold a few MAX_WIDTH**2 arrays (1.1 MiB
+        # each), not one per step (217 MiB)
         tracemalloc.start()
         try:
             _, chain = build_curve_filtration([382, 0], 0, 100003)
+            final = chain.final
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert chain.dims[-1] == 2
+        assert chain.dims[-1] == final.dim == 2
         assert peak < 8 * 2**20
 
     def test_twist_search_starts_below_the_empty_blocks(self):
@@ -459,10 +464,10 @@ def test_chain_follows_the_block_capacity_rule(p, degrees, data):
     st.data(),
 )
 def test_chain_replays_through_the_public_transforms(p, degrees, data):
-    # The chain runs on raw per-block arrays; replaying it from its start
-    # through the checked first_usable_covector and apply_transform must
-    # pick the recorded standard covector at every step and end on the
-    # final model, and both recorded bases are read-only.
+    # The chain's final model is one joint kernel; replaying the chain from
+    # its start through the checked first_usable_covector and
+    # apply_transform must pick the recorded standard covector at every
+    # step and end on the final model, and both bases are read-only.
     steps = data.draw(st.integers(min_value=0, max_value=min(60, p + 1)))
     _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
     assert len(chain.picks) == steps
@@ -482,31 +487,37 @@ def test_chain_replays_through_the_public_transforms(p, degrees, data):
 @pytest.mark.parametrize("degrees, steps", [([0], 0), ([3, 1], 5), ([40, 40, 20], 101)])
 def test_chain_checks_the_prime_once(monkeypatch, degrees, steps):
     calls = []
-    original = gf._is_prime
-    monkeypatch.setattr(gf, "_is_prime", lambda n: calls.append(n) or original(n))
+    original = field._is_prime
+    monkeypatch.setattr(field, "_is_prime", lambda n: calls.append(n) or original(n))
     _, chain = build_curve_filtration(degrees, sum(degrees) - steps, 101)
     assert len(chain.picks) == steps
     assert len(chain.dims) == steps + 1
     assert calls == [101]
 
 
-@pytest.mark.parametrize("degrees, steps, p, cuts", [
+@pytest.mark.parametrize("degrees, steps, p, part", [
     ([40, 40, 20], 101, 101, 19),  # two blocks filled, the third takes 19 of 21
-    ([3, 1], 6, 101, 0),  # every block filled: no cut at all
+    ([3, 1], 6, 101, 0),  # every block filled: none left part full
     ([5], 3, 101, 3),  # one block left part full
-    ([1, 1], 3, 2, 1),  # the part-full block is cut at infinity
+    ([1, 1], 3, 2, 1),  # the part-full block takes infinity
 ])
-def test_chain_cuts_only_the_part_full_block(monkeypatch, degrees, steps, p, cuts):
-    # Filled blocks end empty and unreached ones keep every section, so only
-    # the block the chain leaves part full goes through gf.cut; replaying the
-    # block-capacity picks through apply_transform gives the same final model.
-    calls = []
-    original = gf.cut
-    monkeypatch.setattr(gf, "cut", lambda *args: calls.append(1) or original(*args))
+def test_chain_cuts_only_the_part_full_block(monkeypatch, degrees, steps, p, part):
+    # Building a chain cuts nothing and builds no model: picks, dims and
+    # determinant degrees are closed form, and only the part-full block is
+    # left with steps short of its width. Replaying the block-capacity picks
+    # through apply_transform gives the final model read afterwards.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was built with the chain")
+
+    monkeypatch.setattr(gf, "cut", refuse)
+    monkeypatch.setattr(gf, "kernel_basis", refuse)
+    monkeypatch.setattr(hecke, "SubsheafModel", refuse)
     _, chain = build_curve_filtration(degrees, sum(degrees) - steps, p)
+    assert len(chain.dims) == len(chain.det_degrees) == steps + 1
     monkeypatch.undo()
-    assert len(calls) == cuts
     widths = chain.start.block_widths
+    assert sum(k for i, w in enumerate(widths)
+               if 0 < (k := chain.picks.count(i)) < w) == part
     assert chain.picks == tuple(i for i, w in enumerate(widths) for _ in range(w))[:steps]
     current = chain.start
     for j, i in enumerate(chain.picks):
@@ -518,6 +529,32 @@ def test_chain_cuts_only_the_part_full_block(monkeypatch, degrees, steps, p, cut
 @pytest.mark.parametrize("p", [2, 5, 101])
 def test_point_labels_follow_point_at(p):
     for count in range(p + 2):
-        assert hecke.point_labels(count, p) == [point_at(j, p).label() for j in range(count)]
+        assert curve.point_labels(count, p) == [point_at(j, p).label() for j in range(count)]
     with pytest.raises(IndexError):
-        hecke.point_labels(p + 2, p)
+        curve.point_labels(p + 2, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_final_model_is_the_vanishing_code_basis(p):
+    # The bridge to codes: a chain of M steps on O(d), d <= p, cuts the
+    # sections vanishing at the affine points 0, ..., M - 1, which is the
+    # basis agcode builds from those conditions. Evaluated at every point
+    # of the line, that code has exactly those M zero blocks, and its
+    # distance p + 1 - d is that of a polynomial of degree d with d distinct
+    # affine roots, so contracting the blocks improves by (p + 1)/(p + 1 - M).
+    points = agcode.all_rational_points("P1", p)
+    for d in range(p + 1):
+        for M in range(d + 1):
+            _, chain = build_curve_filtration([d], d - M, p)
+            conditions = [agcode.VanishingCondition(q) for q in points[:M]]
+            basis = agcode.vanishing_basis(d, conditions, "P1", p)
+            assert chain.final.basis == basis.basis
+            k = d + 1 - M
+            report = agcode.mmp_compare(agcode.build_code([basis], points, p))
+            if (p**k - 1) // (p - 1) > agcode.DEFAULT_BUDGET:
+                assert report is INFEASIBLE
+                continue
+            assert report.zero_blocks == tuple(range(M))
+            assert (report.k, report.d_min) == (k, p + 1 - d)
+            assert (report.n_points_before, report.n_points_after) == (p + 1, p + 1 - M)
+            assert report.ratio == Fraction(p + 1, p + 1 - M)
