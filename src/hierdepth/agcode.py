@@ -14,14 +14,18 @@ bundle through the blowdown. Contraction keeps the dimension and the exact
 minimum distance while shortening the length, so the normalized distance
 improves by the ratio of the lengths.
 
-The minimum distance is exact and exhaustive. The budget counts the
-projective message classes of the whole code; within it, min_distance
-splits the echelon generator into connected components (none spans two
-summands, since coordinates i, i + r, ... carry only summand i) and visits
-every projective class of each component, which is a direct summand. It
-counts zero coordinates with float32 products of 0/1 entries whose sums
-stay at most n < 2**24, so no rounding can occur; its table of
-combinations is at most 1 MiB.
+The generator is eliminated once per code: build_code keeps the echelon
+form it reads the rank from, zero-block contraction keeps its columns,
+and min_distance reads it. The minimum distance is exact and exhaustive.
+The budget counts the projective message classes of the whole code;
+within it, min_distance splits the echelon generator into connected
+components (none spans two summands, since coordinates i, i + r, ... carry
+only summand i) and visits every projective class of each component,
+which is a direct summand. It counts zero coordinates with float32
+products of 0/1 entries whose sums stay at most n < 2**24, so no rounding
+can occur. Its table of combinations holds half a component's rows, which
+balances making the table against making the words it is matched with,
+and is at most 1 MiB.
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ def _normalize(coords, p: int) -> tuple[int, ...]:
     """normalize_point for callers that have already checked p."""
     pt = tuple(int(c) % p for c in coords)
     for c in pt:
+        if c == 1:
+            return pt  # already normalized, as every all-rational point is
         if c:
             inv = pow(c, p - 2, p)
             return tuple((x * inv) % p for x in pt)
@@ -266,6 +272,10 @@ class LinearCode:
     k: int
     message_dim: int
     d_min: int | None = field(default=None)
+    # Canonical echelon form of the generator. build_code keeps the one it
+    # computes k from; min_distance makes it on first use for a code built
+    # by hand. Derived data, so equality and repr ignore it.
+    echelon: FMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_points(self) -> int:
@@ -284,7 +294,8 @@ def build_code(bases, points, p: int, exceptional=()) -> LinearCode:
     blown-down point may appear several times, once per upstairs point
     it models. The reported dimension k is the generator rank, which can
     fall below the message dimension when evaluation is degenerate; both
-    are kept.
+    are kept. The echelon form k is read from is kept on the code, so
+    min_distance does not eliminate the generator again.
     """
     bases = list(bases)
     if not bases:
@@ -315,13 +326,15 @@ def build_code(bases, points, p: int, exceptional=()) -> LinearCode:
         rows[row:row + b.dim, i::r] = _evaluate(b, allpts)
         row += b.dim
     generator = FMatrix(p, rows, cols=width)
+    echelon = gf.rref(generator)
     return LinearCode(
         p=p,
         r=r,
         points=tuple(allpts),
         generator=generator,
-        k=gf.rank(generator),
+        k=echelon.rows,
         message_dim=message_dim,
+        echelon=echelon,
     )
 
 
@@ -329,7 +342,8 @@ def _projective_class_count(p: int, k: int) -> int:
     return (p**k - 1) // (p - 1)
 
 
-# Cells of the one-hot table, (n * p) x p**t float32: at most 1 MiB.
+# Cells of the one-hot table, (n * p) x p**t float32: at most 1 MiB. It
+# caps t only where k // 2 rows would not fit (_table_depth).
 TABLE_CELLS = 1 << 18
 # Cells of one chunk of head words: one-hot float32 rows, or int64 words
 # when there is no table. Chunks of 2**17 to 2**22 cells time alike on
@@ -375,6 +389,13 @@ def _components(reduced: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return parts
 
 
+def _echelon(code: LinearCode) -> FMatrix:
+    """The code's canonical echelon generator, eliminated on first use."""
+    if code.echelon is None:
+        code.echelon = gf.rref(code.generator)
+    return code.echelon
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """Exact minimum weight by projective enumeration of the message space.
 
@@ -383,6 +404,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     (p**k - 1) / (p - 1) of them over an echelon generator of rank k.
     Returns INFEASIBLE without enumerating when that count, for the whole
     code, exceeds the budget; otherwise caches the result on the code.
+    The echelon generator is the one the code keeps, made here only when
+    the code was built without one.
 
     Within the budget the echelon generator is split into its connected
     components (rows linked by a shared nonzero column). The code is their
@@ -398,7 +421,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     if code.d_min is not None:
         return code.d_min
     p = code.p
-    reduced = gf.rref(code.generator).array  # k x n, independent rows
+    reduced = _echelon(code).array  # k x n, independent rows
     if _projective_class_count(p, len(reduced)) > budget:
         return INFEASIBLE
     best = min(
@@ -408,29 +431,46 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET):
     return best
 
 
+def _table_depth(k: int, n: int, p: int) -> int:
+    """Echelon rows t the one-hot table of a k x n generator holds.
+
+    t is k // 2, or less when the table, (n * p) x p**t cells, would pass
+    TABLE_CELLS; 0 when n >= 2**24, where float32 sums are no longer
+    exact. Whatever t is, the float32 products total about
+    p**k * n * p / (p - 1) multiply-adds. What t moves is the int64 work
+    with %: about p**t * n to build and scatter the table, and about
+    p**(k - t) * n to make and scatter the head words. Half the rows
+    balance the two, so a deeper table pays only where memory binds, and
+    there both rules pick the same t.
+    """
+    t = 0
+    if n < _EXACT_FLOAT32:
+        while t < k // 2 and p ** (t + 2) * n <= TABLE_CELLS:
+            t += 1
+    return t
+
+
 def _min_weight(reduced: np.ndarray, p: int) -> int:
     """Least weight of a nonzero codeword of a k x n echelon generator.
 
     The enumeration is exhaustive over the projective classes. The last t
-    echelon rows are tabulated once: all p**t of their combinations, as a
-    one-hot float32 table with a 1 at (j * p + value at j, combination), at
-    most TABLE_CELLS = 2**18 cells (1 MiB). The classes with a zero head
-    are the table's nonzero rows. Every other class is a head class (lead
-    row plus later head rows) plus one table row. The table holds -x with
-    every row x, so these classes are the differences w - x of a head word
-    w and a table row x, and w - x is zero at j exactly where w_j = x_j.
-    One product of the head words' one-hot rows with the table counts those
-    coordinates for every pair, so a chunk of head classes costs one
-    float32 matrix product. It is exact: every entry is 0 or 1 and every
-    sum is at most n < 2**24, which float32 holds whatever the summation
-    order. When no row fits the table (t = 0, as for large p), each head
-    word's weight is counted directly.
+    echelon rows, t from _table_depth, are tabulated once: all p**t of
+    their combinations, as a one-hot float32 table with a 1 at
+    (j * p + value at j, combination), at most TABLE_CELLS = 2**18 cells
+    (1 MiB). The classes with a zero head are the table's nonzero rows.
+    Every other class is a head class (lead row plus later head rows) plus
+    one table row. The table holds -x with every row x, so these classes
+    are the differences w - x of a head word w and a table row x, and
+    w - x is zero at j exactly where w_j = x_j. One product of the head
+    words' one-hot rows with the table counts those coordinates for every
+    pair, so a chunk of head classes costs one float32 matrix product. It
+    is exact: every entry is 0 or 1 and every sum is at most n < 2**24,
+    which float32 holds whatever the summation order. When no row fits
+    the table (t = 0, as for large p or k = 1), each head word's weight is
+    counted directly.
     """
     k, n = reduced.shape
-    t = 0
-    if n < _EXACT_FLOAT32:
-        while t < k and p ** (t + 2) * n <= TABLE_CELLS:
-            t += 1
+    t = _table_depth(k, n, p)
     head = reduced[:k - t]
     table = _combinations(reduced[k - t:], p)
     best = int(np.count_nonzero(table[1:], axis=1).min()) if t else n
@@ -494,21 +534,30 @@ def zero_blocks(code: LinearCode) -> tuple[int, ...]:
     return tuple(np.flatnonzero(~live).tolist())
 
 
-def _take_blocks(code: LinearCode, blocks, d_min=None) -> LinearCode:
+def _take_blocks(code: LinearCode, blocks, d_min=None, in_order=False) -> LinearCode:
     """The code on the point blocks listed; block j is block blocks[j].
 
     Callers leave out only zero blocks, which carry no rank, so k is kept.
+    When the blocks are in_order (increasing), the same columns of the
+    echelon form are taken too: zero columns are never pivots, so that
+    slice is the result's canonical echelon form. Any other order breaks
+    echelon form, and the result makes its own on first use.
     """
     r = code.r
     cols = [j * r + i for j in blocks for i in range(r)]
+
+    def take(m: FMatrix) -> FMatrix:
+        return FMatrix(m.p, m.array[:, cols], cols=len(cols))
+
     return LinearCode(
         p=code.p,
         r=r,
         points=tuple(code.points[j] for j in blocks),
-        generator=FMatrix(code.p, code.generator.array[:, cols], cols=len(cols)),
+        generator=take(code.generator),
         k=code.k,
         message_dim=code.message_dim,
         d_min=d_min,
+        echelon=take(_echelon(code)) if in_order else None,
     )
 
 
@@ -538,12 +587,14 @@ def zero_block_contract(code: LinearCode):
     r times the remaining point count. The contracted code is returned
     with its distance unset so callers can recompute it independently;
     the report carries the normalized-distance comparison when the input
-    distance was already known.
+    distance was already known. It keeps the columns of the code's echelon
+    form that it keeps of the generator, so the contracted code needs no
+    elimination of its own.
     """
     zero = zero_blocks(code)
     dropped = set(zero)
     keep = [j for j in range(code.num_points) if j not in dropped]
-    return _take_blocks(code, keep), _contraction_report(code, zero, code.d_min)
+    return _take_blocks(code, keep, in_order=True), _contraction_report(code, zero, code.d_min)
 
 
 def normalized_distance(code: LinearCode) -> Fraction:
@@ -580,7 +631,7 @@ def append_zero_blocks(code: LinearCode, points) -> LinearCode:
     """Lengthen the code by identically zero blocks at the given points.
 
     Used to model extra evaluation slots that no section reaches. The
-    distance is left unset on the result.
+    distance and the echelon form are left unset on the result.
     """
     points = list(points)
     arr = code.generator.array
@@ -600,7 +651,8 @@ def append_zero_blocks(code: LinearCode, points) -> LinearCode:
 def permute_points(code: LinearCode, perm) -> LinearCode:
     """Reorder point blocks; block j of the result is block perm[j].
 
-    A coordinate relabeling, so the cached distance carries over.
+    A coordinate relabeling, so the cached distance carries over; the
+    echelon form does not, and is made again on first use.
     """
     perm = [int(j) for j in perm]
     if sorted(perm) != list(range(code.num_points)):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hierdepth import agcode, gf
@@ -125,6 +125,28 @@ def test_normalize_point():
     assert normalize_point((0, 3, 3), 5) == (0, 1, 1)
     with pytest.raises(ValueError):
         normalize_point((0, 0, 0), 5)
+
+
+def scaled_by_the_inverse(coords, p):
+    """Normalization as a pow and a second tuple, for every point."""
+    pt = tuple(int(c) % p for c in coords)
+    lead = next(c for c in pt if c)
+    inv = pow(lead, p - 2, p)
+    return tuple((x * inv) % p for x in pt)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537, 2**31 - 1])
+def test_normalize_returns_what_scaling_by_the_inverse_gives(p):
+    # a leading 1 is returned as reduced, without scaling; the leads are
+    # also given unreduced (p + 1, -1) and after zeros
+    rnd = random.Random(p)
+    for lead in (1, p - 1, p + 1, -1):
+        for zeros in range(3):
+            rest = [rnd.randrange(-p, 2 * p) for _ in range(rnd.randint(0, 2))]
+            coords = [0] * zeros + [lead] + rest
+            got = agcode._normalize(coords, p)
+            assert got == scaled_by_the_inverse(coords, p)
+            assert all(type(c) is int for c in got)
 
 
 def test_rational_point_inventories():
@@ -488,21 +510,38 @@ def small_codes(draw):
 class TestEnumerationEngine:
     """min_distance against brute force, with and without the table."""
 
-    @pytest.mark.parametrize("table", ["default", "none", "one row", "whole"])
+    # Table depth t per component of rank k; "default" is the rule itself,
+    # which at oracle sizes is k // 2, since the cell cap never binds.
+    DEPTHS = {
+        "default": agcode._table_depth,
+        "none": lambda k, n, p: 0,  # head words only
+        "one row": lambda k, n, p: 1,
+        "whole": lambda k, n, p: k,  # table only
+    }
+
+    @pytest.mark.parametrize("table", list(DEPTHS))
     @given(code=small_codes())
     def test_matches_the_oracle(self, table, code):
         if code.k == 0:
             with pytest.raises(EmptyCode):
                 min_distance(code)
             return
-        cells = {
-            "default": agcode.TABLE_CELLS,
-            "none": 0,  # t = 0
-            "one row": code.p**2 * code.n,  # t = 1
-            "whole": code.p ** (code.k + 1) * code.n,  # t = k
-        }[table]
-        with patch.object(agcode, "TABLE_CELLS", cells):
+        assert agcode._table_depth(code.k, code.n, code.p) == code.k // 2
+        with patch.object(agcode, "_table_depth", self.DEPTHS[table]):
             assert min_distance(code) == oracle_min_weight(code)
+
+    @pytest.mark.parametrize("k, n, p, t", [
+        (1, 20, 2, 0),  # one row: head words only
+        (7, 7, 13, 3),  # the line at p = 13, degree 6: half the rows fit
+        (10, 13, 3, 5),
+        (10, 31, 5, 4),  # the plane cubic at p = 5: the cap binds
+        (9, 56, 7, 3),  # criterion 8's largest component
+        (4, 2**24, 2, 0),  # float32 sums no longer exact
+        (2, 20, 65537, 0),  # not one row fits
+    ])
+    def test_table_depth_is_half_the_rows_within_the_cap(self, k, n, p, t):
+        assert agcode._table_depth(k, n, p) == t
+        assert t == 0 or p ** (t + 1) * n <= agcode.TABLE_CELLS
 
     @pytest.mark.parametrize("p", [65537, 2**20 + 7, 2**31 - 1])
     def test_one_row_at_large_p(self, p):
@@ -636,6 +675,54 @@ class TestDirectSums:
         assert code.k == 16 and len(components(code)) == 3
         assert min_distance(code) is INFEASIBLE
         assert code.d_min is None
+
+
+@st.composite
+def built_codes(draw):
+    """Codes from build_code, some summands through a point whose slots are dead."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    space = draw(st.sampled_from(["P1", "P2"]))
+    pts = all_rational_points(space, p)
+    dead = draw(st.sampled_from(pts))
+    bases = [
+        vanishing_basis(degree, [VanishingCondition(dead)] if through else [], space, p)
+        for degree, through in draw(
+            st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=3))
+    ]
+    assume(any(b.dim for b in bases))
+    regular = draw(st.lists(
+        st.sampled_from([q for q in pts if q != dead]), min_size=1, max_size=8, unique=True))
+    exceptional = [dead] * draw(st.integers(0, 2))
+    return build_code(bases, regular, p, exceptional=exceptional)
+
+
+CODE_SOURCES = {
+    "build_code": built_codes(),
+    "small_codes": small_codes(),
+    "direct_sums": direct_sums().map(lambda case: case[0]),
+}
+
+
+@pytest.mark.parametrize("source", list(CODE_SOURCES))
+@given(data=st.data())
+def test_the_kept_echelon_form_is_the_generators(source, data):
+    # build_code keeps its elimination and contraction slices it; a code
+    # made by hand, permuted or padded eliminates on first use
+    code = data.draw(CODE_SOURCES[source])
+    assert (code.echelon is not None) == (source == "build_code")
+
+    def kept(c):
+        return agcode._echelon(c) == gf.rref(c.generator)
+
+    assert kept(code)
+    contracted, _ = zero_block_contract(code)
+    assert contracted.echelon is not None and kept(contracted)
+    moved = permute_points(code, list(range(code.num_points))[::-1])
+    assert moved.echelon is None and kept(moved)
+    padded = append_zero_blocks(code, code.points[:1])
+    assert padded.echelon is None and kept(padded)
+    contracted, _ = zero_block_contract(padded)
+    assert contracted.echelon is not None and kept(contracted)
 
 
 FROZEN_REGULAR = [

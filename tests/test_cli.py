@@ -332,6 +332,27 @@ class TestCodeCommands:
         assert rep["status"] == "infeasible"
         assert rep["ratio"] is None
 
+    @pytest.mark.parametrize("subcommand", ["code-analyze", "mmp-compare"])
+    def test_the_generator_is_eliminated_once(self, tmp_path, monkeypatch, subcommand):
+        # two summands through the blown-down point: two kernels, then one
+        # elimination of the generator, which contraction keeps
+        from hierdepth import gf
+
+        shapes = []
+        eliminate = gf._rref_array
+
+        def counted(a, p):
+            shapes.append(a.shape)
+            return eliminate(a, p)
+
+        monkeypatch.setattr(gf, "_rref_array", counted)
+        cfg = write_config(tmp_path, SCALED_CFG + "summand = 1; 1:0:0\n")
+        rep = report_of([subcommand, "--config", cfg])
+        assert rep["d_min"] == 4
+        kernels, generator = shapes[:2], shapes[2:]
+        assert [cols for _, cols in kernels] == [6, 3]  # monomials of each summand
+        assert generator == [(5 + 2, 2 * 12)]
+
     def test_all_rational_with_exclusions(self, tmp_path):
         cfg = write_config(
             tmp_path,

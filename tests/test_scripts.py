@@ -42,3 +42,12 @@ def test_depth_examples_at_the_largest_prime():
     assert proc.returncode == 0, proc.stderr
     assert "constructed chain over F_2147483647 for O(3)+O(1)+O(0)" in proc.stdout
     assert "section dims along the chain" in proc.stdout
+
+
+def test_distance_throughput_on_its_smallest_case():
+    proc = _run(ROOT / "scripts" / "distance_throughput.py",
+                "--case", "criterion8-line", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["code", "p", "n", "k", "classes", "d", "ms", "classes/s"]
+    assert row.split()[:6] == ["criterion8-line", "7", "56", "2", "8", "49"]
