@@ -276,6 +276,8 @@ class LinearCode:
     # computes k from; min_distance makes it on first use for a code built
     # by hand. Derived data, so equality and repr ignore it.
     echelon: FMatrix | None = field(default=None, compare=False, repr=False)
+    # Indices of the zero blocks, scanned by zero_blocks on first use.
+    zeros: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_points(self) -> int:
@@ -527,11 +529,21 @@ class ContractionReport:
         return bool(self.zero_blocks)
 
 
-def zero_blocks(code: LinearCode) -> tuple[int, ...]:
-    """Indices of the point blocks on which every codeword vanishes."""
+def _scan_zero_blocks(code: LinearCode) -> tuple[int, ...]:
     arr = code.generator.array
     live = arr.reshape(arr.shape[0], code.num_points, code.r).any(axis=(0, 2))
     return tuple(np.flatnonzero(~live).tolist())
+
+
+def zero_blocks(code: LinearCode) -> tuple[int, ...]:
+    """Indices of the point blocks on which every codeword vanishes.
+
+    Scanned once per code and kept on it, so a report's summary and the
+    contraction share one scan.
+    """
+    if code.zeros is None:
+        code.zeros = _scan_zero_blocks(code)
+    return code.zeros
 
 
 def _take_blocks(code: LinearCode, blocks, d_min=None, in_order=False) -> LinearCode:

@@ -9,7 +9,11 @@ refusals exit 2.
 
 Identical inputs produce byte-identical reports: keys are sorted, the
 rendering is fixed, and the seed only matters to randomized callers that
-embed it in their own configs.
+embed it in their own configs. One small writer, _encode, writes both
+formats: a JSON report is byte for byte json.dumps(report, sort_keys=True,
+indent=2), and each text leaf is json.dumps(leaf). It walks dicts and lists
+in Python but joins a list of ints or of strs in one C-level str.join,
+where json's indenting encoder would take every element through Python.
 
 Only hecke-verify, code-build, code-analyze and mmp-compare load numpy;
 depth, mmp-depth, filtration (a closed-form chain) and malformed arguments
@@ -25,6 +29,7 @@ import stat
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _encode_str
 
 # curve, hecke and agcode are read as attributes of the package, which
 # imports each on first use (hecke and agcode load numpy), so depth and
@@ -479,6 +484,50 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _elements(items, pad):
+    """The encoded elements of a non-empty list; pad as in _encode."""
+    kinds = {*map(type, items)}
+    if kinds == {int}:
+        return map(int.__repr__, items)
+    if kinds == {str}:
+        return map(_encode_str, items)
+    return [_encode(v, pad) for v in items]
+
+
+def _encode(value, pad=None) -> str:
+    """value as JSON text: on one line when pad is None, else indented by 2.
+
+    pad is the line break and indent of the line value starts on. The text
+    equals json.dumps(value) on one line, and json.dumps(value,
+    sort_keys=True, indent=2) for pad "\\n", which json writes element by
+    element in Python, since its C encoder runs only without an indent.
+    Lists of ints or of strs are joined over C-level maps. A dict on one
+    line goes to json.dumps unsorted: the text form flattens dicts, so one
+    is a leaf only inside a list.
+    """
+    if isinstance(value, (list, tuple)) and value:
+        if pad is None:
+            return "[" + ", ".join(_elements(value, None)) + "]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(_elements(value, inner)) + pad + "]"
+    if isinstance(value, dict) and value and pad is not None:
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            f"{_encode_str(key)}: {_encode(v, inner)}" for key, v in sorted(value.items())
+        ) + pad + "}"
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    return json.dumps(value)
+
+
 def _render_text(obj, prefix="") -> list[str]:
     lines = []
     if isinstance(obj, dict):
@@ -486,14 +535,14 @@ def _render_text(obj, prefix="") -> list[str]:
             head = f"{prefix}{key}" if not prefix else f"{prefix}.{key}"
             lines.extend(_render_text(obj[key], head))
     else:
-        lines.append(f"{prefix}: {json.dumps(obj)}")
+        lines.append(f"{prefix}: {_encode(obj)}")
     return lines
 
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "text":
         return "\n".join(_render_text(report))
-    return json.dumps(report, sort_keys=True, indent=2)
+    return _encode(report, "\n")
 
 
 def main(argv=None) -> int:

@@ -229,7 +229,8 @@ def parse_class(text: str, lattice: Lattice) -> DivisorClass:
 
     A bare integer is accepted on rank-one lattices (a multiple of the
     generator) and '0' means the zero class everywhere. Whitespace is
-    ignored. Raises ValueError on malformed input.
+    ignored. Each term carries at most one sign. Raises ValueError on
+    malformed input.
     """
     compact = text.replace(" ", "")
     if compact in ("0", "+0", "-0"):
@@ -239,6 +240,9 @@ def parse_class(text: str, lattice: Lattice) -> DivisorClass:
     terms = re.findall(r"[+-]?[^+-]+", compact)
     if not terms:
         raise ValueError(f"empty divisor class expression: {text!r}")
+    # a sign no term takes up (a trailing '+', '++', '+-', '--') is malformed
+    if "".join(terms) != compact:
+        raise ValueError(f"stray sign in {text!r}")
     for term in terms:
         m = _TERM_RE.match(term)
         if not m:

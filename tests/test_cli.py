@@ -15,6 +15,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hierdepth import cli
 from hierdepth.cli import main
@@ -353,6 +355,23 @@ class TestCodeCommands:
         assert [cols for _, cols in kernels] == [6, 3]  # monomials of each summand
         assert generator == [(5 + 2, 2 * 12)]
 
+    @pytest.mark.parametrize("subcommand", ["code-analyze", "mmp-compare"])
+    def test_the_zero_blocks_are_scanned_once(self, tmp_path, monkeypatch, subcommand):
+        # code-analyze's summary and the contraction share one scan
+        from hierdepth import agcode
+
+        scanned = []
+        scan = agcode._scan_zero_blocks
+
+        def counted(code):
+            scanned.append(code.num_points)
+            return scan(code)
+
+        monkeypatch.setattr(agcode, "_scan_zero_blocks", counted)
+        rep = report_of([subcommand, "--config", write_config(tmp_path, SCALED_CFG)])
+        assert rep["zero_blocks"] == [10, 11]
+        assert scanned == [12]
+
     def test_all_rational_with_exclusions(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -433,6 +452,11 @@ class TestMalformedInput:
                  "--points", "0,1", "--covectors", "5,0;0,1"],
                 "covectors",
             ),
+            # signs no term takes up, once dropped without a word
+            (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0", "2H+"], "lambda0"),
+            (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0=--H"], "lambda0"),
+            (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0", "H+-H"], "lambda0"),
+            (["depth", "--surface", "p2", "--bundle", "O(2H++H)", "--lambda0", "0"], "bundle"),
         ],
     )
     def test_exit_one_and_field_named(self, argv, field):
@@ -656,6 +680,91 @@ def test_numpy_free_reports_are_byte_stable(name, fmt):
     rc, out, err = run(["--format", fmt, *NUMPY_FREE_REPORTS[name].split()])
     assert (rc, err) == (0, "")
     assert out == golden.read_text(encoding="utf-8")
+
+
+# the numpy subcommands, infeasible and no-filtration reports (nested dicts,
+# lists of lists, nulls, empty lists); {cfg} stands for SCALED_CFG and
+# {cfg1} for it at budget 1
+REPORT_SHAPES = {
+    "hecke-verify": "hecke-verify --field 5 --degrees 1,1 --points 2,inf --covectors 1,0;0,1",
+    "code-build": "code-build --config {cfg}",
+    "code-analyze": "code-analyze --config {cfg}",
+    "code-analyze-infeasible": "code-analyze --config {cfg1}",
+    "mmp-compare": "mmp-compare --config {cfg}",
+    "mmp-compare-infeasible": "mmp-compare --config {cfg1}",
+    "filtration-no-filtration": "filtration --field 5 --degrees 1 --lambda0 3",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(REPORT_SHAPES))
+def test_report_shapes_are_byte_stable(tmp_path, name, fmt):
+    # tests/golden holds these reports as written by json.dumps(indent=2)
+    # before the report writer replaced it; stdout must not change by a byte
+    cfg = write_config(tmp_path, SCALED_CFG)
+    cfg1 = write_config(tmp_path, SCALED_CFG + "budget = 1\n", name="budget1.cfg")
+    argv = REPORT_SHAPES[name].format(cfg=cfg, cfg1=cfg1).split()
+    suffix = {"json": "json", "text": "txt"}[fmt]
+    golden = ROOT / "tests" / "golden" / f"{name}.{suffix}"
+    rc, out, err = run(["--format", fmt, *argv])
+    assert (rc, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def json_dumps_text(obj, prefix=""):
+    """The text form as written while json.dumps encoded every leaf."""
+    lines = []
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            head = f"{prefix}{key}" if not prefix else f"{prefix}.{key}"
+            lines.extend(json_dumps_text(obj[key], head))
+    else:
+        lines.append(f"{prefix}: {json.dumps(obj)}")
+    return lines
+
+
+# shaped like reports: keys with escapes and non-ASCII, scalars, and nested,
+# mixed or empty lists and dicts; tuples encode as lists, floats go through
+# json.dumps
+REPORT_KEYS = st.text(alphabet=st.characters(), max_size=6)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False),
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(REPORT_KEYS, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@example({"mixed": [1, True], "matrix": [[1, 0], [0, 1]]})
+@example({"": [], "e": {}, "é\n\"": ["☃", "\\", None, False, -0]})
+@given(st.dictionaries(REPORT_KEYS, REPORT_VALUES, max_size=6))
+def test_reports_are_written_as_json_dumps_writes_them(report):
+    assert cli.render(report, "json") == json.dumps(report, sort_keys=True, indent=2)
+    assert cli.render(report, "text") == "\n".join(json_dumps_text(report))
+
+
+def _indent_dumps(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return name in ("dump", "dumps") and any(kw.arg == "indent" for kw in node.keywords)
+
+
+def test_no_report_goes_through_the_indenting_encoder():
+    # json's C encoder runs only without an indent; with one, every element
+    # goes through its pure-Python encoder. cli._encode writes those bytes.
+    src = ROOT / "src" / "hierdepth"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _indent_dumps(node)
+    ]
+    assert found == []
 
 
 STARTUP_PROBE = """

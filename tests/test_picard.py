@@ -161,6 +161,9 @@ def test_parse_class_rejects_garbage():
         parse_class("", P2)
     with pytest.raises(ValueError):
         parse_class("E3", Y2)  # only two centers
+    for text in ("2H+", "2H++H", "--H", "H+-H", "+", "H-"):
+        with pytest.raises(ValueError, match="stray sign|empty"):
+            parse_class(text, P2)  # a sign no term takes up
 
 
 @given(divisor_pair())
