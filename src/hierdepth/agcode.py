@@ -371,23 +371,28 @@ def _components(reduced: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Two rows are linked when they share a nonzero column; a component's
     columns are the union of its rows' supports, so all-zero columns lie in
-    none. Found by boolean sweeps: the rows meeting the columns so far, then
-    the columns those rows meet, until the rows stop growing.
+    none. The links are one float32 product of the 0/1 nonzero mask, exact
+    for any n since a sum of 0/1 terms with a 1 among them cannot round to
+    zero; the components are then a search over the k rows.
     """
     nonzero = reduced != 0
-    left = np.ones(len(reduced), dtype=bool)
+    ones = nonzero.astype(np.float32)
+    links = ((ones @ ones.T) > 0).tolist()
+    seen = [False] * len(links)
     parts = []
-    while left.any():
-        rows = np.zeros_like(left)
-        rows[left.argmax()] = True
-        while True:
-            cols = nonzero[rows].any(axis=0)
-            grown = nonzero[:, cols].any(axis=1)
-            if (grown == rows).all():
-                break
-            rows = grown
-        left &= ~rows
-        parts.append((rows, cols))
+    for first in range(len(links)):
+        if seen[first]:
+            continue
+        seen[first] = True
+        found = [first]
+        for i in found:  # grows while it is read
+            for j, linked in enumerate(links[i]):
+                if linked and not seen[j]:
+                    seen[j] = True
+                    found.append(j)
+        rows = np.zeros(len(links), dtype=bool)
+        rows[found] = True
+        parts.append((rows, nonzero[rows].any(axis=0)))
     return parts
 
 

@@ -15,6 +15,16 @@ indent=2), and each text leaf is json.dumps(leaf). It walks dicts and lists
 in Python but joins a list of ints or of strs in one C-level str.join,
 where json's indenting encoder would take every element through Python.
 
+argv is read from one option table, _GLOBAL and _COMMANDS: each
+subcommand's handler, help line and options, each option with its dest and
+whether it is required, a flag, an integer or one of fixed choices. The
+reading is argparse's: --opt value or --opt=value, unique prefixes, the
+last of a repeated option, --format and --seed before the subcommand, and a
+value starting with '-' only when it is a negative number or holds a space.
+-h and --help print usage made from the same table, at either level, and
+exit 0; any other malformed argv exits 1 naming arguments, or subcommand
+when none is given.
+
 Only hecke-verify, code-build, code-analyze and mmp-compare load numpy;
 depth, mmp-depth, filtration (a closed-form chain) and malformed arguments
 start and finish without it.
@@ -22,14 +32,15 @@ start and finish without it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import stat
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import SimpleNamespace
 
 # curve, hecke and agcode are read as attributes of the package, which
 # imports each on first use (hecke and agcode load numpy), so depth and
@@ -69,11 +80,6 @@ class CliInputError(Exception):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliInputError("arguments", message)
 
 
 def _frac(x: Fraction) -> str:
@@ -439,49 +445,221 @@ def _cmd_mmp_compare(ns):
     return out
 
 
-@cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on the first call and reused after."""
-    parser = _Parser(prog="hierdepth", description=__doc__)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub = parser.add_subparsers(dest="subcommand")
+# One option of the table. kind is str for a free value, int for an
+# integer, a tuple of the values allowed, or bool for a flag, which takes no
+# value and reads True when given. An option not given reads its default.
+_Option = namedtuple("_Option", "name dest kind required default", defaults=(str, False, None))
 
-    d = sub.add_parser("depth", description="Depth bounds for a split bundle.")
-    d.set_defaults(run=_cmd_depth)
-    d.add_argument("--curve", action="store_true")
-    d.add_argument("--surface", choices=("p2", "p1xp1"))
-    d.add_argument("--degrees")
-    d.add_argument("--bundle")
-    d.add_argument("--lambda0", required=True)
+# -h and --help at every level, named in error lines as argparse named it
+_HELP = _Option("-h/--help", "help", bool)
 
-    m = sub.add_parser("mmp-depth", description="Depth through a blowup chain.")
-    m.set_defaults(run=_cmd_mmp_depth)
-    m.add_argument("--hmin", required=True)
-    m.add_argument("--alpha", required=True)
-    m.add_argument("--beta", required=True)
 
-    f = sub.add_parser("filtration", description="Build a maximal chain on the line.")
-    f.set_defaults(run=_cmd_filtration)
-    f.add_argument("--field", required=True)
-    f.add_argument("--degrees", required=True)
-    f.add_argument("--lambda0", required=True)
+class _Command:
+    """One level of the table: a subcommand, or the options before one."""
 
-    h = sub.add_parser("hecke-verify", description="Compare transform routes.")
-    h.set_defaults(run=_cmd_hecke_verify)
-    h.add_argument("--field", required=True)
-    h.add_argument("--degrees", required=True)
-    h.add_argument("--points", required=True)
-    h.add_argument("--covectors")
+    def __init__(self, name, run, about, *options):
+        self.name, self.run, self.about, self.options = name, run, about, options
+        self.lookup = {"-h": _HELP, "--help": _HELP, **{o.name: o for o in options}}
+        self.defaults = {o.dest: o.default for o in options}
+        # every prefix of a long name, from "--", and the names it begins
+        self.prefixes = {}
+        for name in ("--help", *(o.name for o in options)):
+            for end in range(2, len(name) + 1):
+                self.prefixes.setdefault(name[:end], []).append(name)
 
-    for name, run in (("code-build", _cmd_code_build), ("code-analyze", _cmd_code_analyze),
-                      ("mmp-compare", _cmd_mmp_compare)):
-        c = sub.add_parser(name)
-        c.set_defaults(run=run)
-        c.add_argument("--config", required=True)
-        if name == "code-build":
-            c.add_argument("--export-generator", dest="export_generator")
-    return parser
+    def help(self) -> str:
+        """The --help text: usage, then what the level does."""
+        words = [f"usage: hierdepth {self.name}".rstrip(), "[-h]"]
+        for o in self.options:
+            if o.kind is bool:
+                word = o.name
+            elif isinstance(o.kind, tuple):
+                word = f"{o.name} {{{','.join(o.kind)}}}"
+            else:
+                word = f"{o.name} {o.dest.upper()}"
+            words.append(word if o.required else f"[{word}]")
+        lines = [" ".join(words), "", self.about]
+        if self is _GLOBAL:
+            lines[0] += " SUBCOMMAND ..."
+            lines += ["", "subcommands (hierdepth SUBCOMMAND --help lists the options):"]
+            lines += [f"  {c.name:<14}{c.about}" for c in _COMMANDS.values()]
+        return "\n".join(lines)
+
+
+_CONFIG = _Option("--config", "config", required=True)
+
+# The one option table. Parsing and --help text are both read from it.
+_GLOBAL = _Command(
+    "", None, "Exact depths, transform chains and evaluation codes; one report per call.",
+    _Option("--format", "format", ("json", "text"), default="json"),
+    _Option("--seed", "seed", int, default=DEFAULT_SEED),
+)
+_COMMANDS = {c.name: c for c in (
+    _Command(
+        "depth", _cmd_depth, "Depth bounds for a split bundle.",
+        _Option("--curve", "curve", bool, default=False),
+        _Option("--surface", "surface", ("p2", "p1xp1")),
+        _Option("--degrees", "degrees"),
+        _Option("--bundle", "bundle"),
+        _Option("--lambda0", "lambda0", required=True),
+    ),
+    _Command(
+        "mmp-depth", _cmd_mmp_depth, "Depth through a blowup chain.",
+        _Option("--hmin", "hmin", required=True),
+        _Option("--alpha", "alpha", required=True),
+        _Option("--beta", "beta", required=True),
+    ),
+    _Command(
+        "filtration", _cmd_filtration, "Build a maximal chain on the line.",
+        _Option("--field", "field", required=True),
+        _Option("--degrees", "degrees", required=True),
+        _Option("--lambda0", "lambda0", required=True),
+    ),
+    _Command(
+        "hecke-verify", _cmd_hecke_verify, "Compare transform routes.",
+        _Option("--field", "field", required=True),
+        _Option("--degrees", "degrees", required=True),
+        _Option("--points", "points", required=True),
+        _Option("--covectors", "covectors"),
+    ),
+    _Command(
+        "code-build", _cmd_code_build, "Build an evaluation code from a config file.",
+        _CONFIG,
+        _Option("--export-generator", "export_generator"),
+    ),
+    _Command(
+        "code-analyze", _cmd_code_analyze,
+        "Minimum distance of a code, before and after contraction.", _CONFIG,
+    ),
+    _Command("mmp-compare", _cmd_mmp_compare, "Compare a code with its contraction.", _CONFIG),
+)}
+
+
+class _Help(Exception):
+    """--help was read; the argument is the text to print."""
+
+
+# a token starting with '-' that is still a value, as argparse reads it
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option(token: str, command: _Command):
+    """How one level reads a token: None for a positional, else (option,
+    inline value), with option None when the level has no such option.
+
+    As in argparse: an option is its full name, name=value, or a unique
+    prefix of a name (with or without =value); a token that starts with -h
+    is -h with the rest inline. A token starting with '-' is a positional
+    only when it is '-', a negative number, or holds a space.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    lookup = command.lookup
+    option = lookup.get(token)
+    if option is not None:
+        return option, None
+    name, eq, inline = token.partition("=")
+    if eq and name in lookup:
+        return lookup[name], inline
+    if token[1] == "-":
+        matches = command.prefixes.get(name, ())
+        inline = inline if eq else None
+    else:
+        matches = ("-h",) if token.startswith("-h") else ()
+        inline = token[2:]
+    if len(matches) > 1:
+        raise CliInputError(
+            "arguments", f"ambiguous option: {token} could match {', '.join(matches)}"
+        )
+    if matches:
+        return lookup[matches[0]], inline
+    if " " in token or _NEGATIVE_NUMBER.match(token):
+        return None
+    return None, None
+
+
+def _value(option: _Option, text: str):
+    if option.kind is int:
+        return _int(text, "arguments", f"argument {option.name}: invalid int value: {text!r}")
+    if option.kind is not str and text not in option.kind:
+        raise _invalid_choice(option.name, text, option.kind)
+    return text
+
+
+def _invalid_choice(name: str, text: str, choices) -> CliInputError:
+    listed = ", ".join(map(repr, choices))
+    return CliInputError(
+        "arguments", f"argument {name}: invalid choice: {text!r} (choose from {listed})"
+    )
+
+
+def _read(tokens, command: _Command, values: dict, extras: list):
+    """Read one level's options from tokens into values, as argparse does.
+
+    Every token before the first '--' is classified before any is acted
+    on, so an ambiguous prefix is refused even after a --help. The options
+    before the subcommand stop at the first positional, the subcommand, and
+    return its index (or that of the '--'). A subcommand's positionals,
+    unknown options, '--' and all after it go to extras, and every required
+    option must have been given.
+    """
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    found = [_option(t, command) for t in tokens[:end]]
+    values.update(command.defaults)
+    i = 0
+    while i < end:
+        hit = found[i]
+        i += 1
+        if hit is None:
+            if command is _GLOBAL:
+                return i - 1
+            extras.append(tokens[i - 1])
+            continue
+        option, inline = hit
+        if option is None:
+            extras.append(tokens[i - 1])
+        elif option.kind is bool:
+            if inline is not None:
+                raise CliInputError(
+                    "arguments", f"argument {option.name}: ignored explicit argument {inline!r}"
+                )
+            if option is _HELP:
+                raise _Help(command.help())
+            values[option.dest] = True
+        else:
+            if inline is None:
+                if i == end or found[i] is not None:
+                    raise CliInputError(
+                        "arguments", f"argument {option.name}: expected one argument"
+                    )
+                inline = tokens[i]
+                i += 1
+            values[option.dest] = _value(option, inline)
+    if command is _GLOBAL:
+        return end
+    extras.extend(tokens[end:])
+    missing = [o.name for o in command.options if o.required and values[o.dest] is None]
+    if missing:
+        raise CliInputError(
+            "arguments", f"the following arguments are required: {', '.join(missing)}"
+        )
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The namespace of one argv: each option's dest, subcommand and run."""
+    values, extras = {}, []
+    at = _read(argv, _GLOBAL, values, extras)
+    if at < len(argv):
+        command = _COMMANDS.get(argv[at])
+        if command is None:
+            raise _invalid_choice("subcommand", argv[at], _COMMANDS)
+        values.update(subcommand=command.name, run=command.run)
+        _read(argv[at + 1:], command, values, extras)
+    if extras:
+        raise CliInputError("arguments", f"unrecognized arguments: {' '.join(extras)}")
+    if "run" not in values:
+        raise CliInputError("subcommand", "no subcommand given")
+    return SimpleNamespace(**values)
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
@@ -546,12 +724,12 @@ def render(report: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if not ns.subcommand:
-            raise CliInputError("subcommand", "no subcommand given")
+        ns = _parse(sys.argv[1:] if argv is None else argv)
         report = {"subcommand": ns.subcommand, "seed": ns.seed, **ns.run(ns)}
+    except _Help as e:
+        print(e)
+        return 0
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

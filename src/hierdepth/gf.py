@@ -109,22 +109,29 @@ def _eliminate(a: np.ndarray, rows: np.ndarray, pivot_row: np.ndarray,
 
 
 def _rref_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Reduced echelon form of an int64 array, zero rows dropped."""
+    """Reduced echelon form of an int64 array, zero rows dropped.
+
+    A pivot step costs a few numpy calls whatever the size, so it calls
+    ndarray methods, not numpy's Python-level wrappers, and scales the
+    pivot row in place; only the rows with a nonzero in the pivot column
+    are updated.
+    """
     a = a % p
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        rows = np.flatnonzero(a[:, c])
+        row = a[r, c:]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        rows = a[:, c].nonzero()[0]
         rows = rows[rows != r]
         _eliminate(a, rows, a[r], a[rows, c], c, p)
         r += 1

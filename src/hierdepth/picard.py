@@ -221,7 +221,7 @@ def pullback(c: DivisorClass, m: int) -> DivisorClass:
     return Lattice.blowup_p2(m).divisor(c.coeffs[0], *([0] * m))
 
 
-_TERM_RE = re.compile(r"^([+-]?\d*)\s*([A-Za-z]\d*)?$")
+_TERM_RE = re.compile(r"([+-]?\d*)([A-Za-z]\d*)?")
 
 
 def parse_class(text: str, lattice: Lattice) -> DivisorClass:
@@ -232,7 +232,7 @@ def parse_class(text: str, lattice: Lattice) -> DivisorClass:
     ignored. Each term carries at most one sign. Raises ValueError on
     malformed input.
     """
-    compact = text.replace(" ", "")
+    compact = "".join(text.split())
     if compact in ("0", "+0", "-0"):
         return lattice.zero()
     names = {n.upper(): i for i, n in enumerate(lattice.generator_names)}
@@ -244,7 +244,7 @@ def parse_class(text: str, lattice: Lattice) -> DivisorClass:
     if "".join(terms) != compact:
         raise ValueError(f"stray sign in {text!r}")
     for term in terms:
-        m = _TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if not m:
             raise ValueError(f"bad divisor term {term!r} in {text!r}")
         num, gen = m.group(1), m.group(2)

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -580,6 +581,26 @@ def components(code):
     return agcode._components(gf.rref(code.generator).array)
 
 
+def components_by_sweeps(reduced):
+    """Reference split: boolean sweeps, the rows meeting the columns so far,
+    then the columns those rows meet, until the rows stop growing."""
+    nonzero = reduced != 0
+    left = np.ones(len(reduced), dtype=bool)
+    parts = []
+    while left.any():
+        rows = np.zeros_like(left)
+        rows[left.argmax()] = True
+        while True:
+            cols = nonzero[rows].any(axis=0)
+            grown = nonzero[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        left &= ~rows
+        parts.append((rows, cols))
+    return parts
+
+
 @st.composite
 def direct_sums(draw):
     """Direct sums of 2 to 4 random codes, with zero columns, columns shuffled.
@@ -701,6 +722,16 @@ CODE_SOURCES = {
     "small_codes": small_codes(),
     "direct_sums": direct_sums().map(lambda case: case[0]),
 }
+
+
+@pytest.mark.parametrize("source", list(CODE_SOURCES))
+@given(data=st.data())
+def test_components_match_the_boolean_sweeps(source, data):
+    reduced = gf.rref(data.draw(CODE_SOURCES[source]).generator).array
+    got, want = agcode._components(reduced), components_by_sweeps(reduced)
+    assert len(got) == len(want)
+    for (rows, cols), (want_rows, want_cols) in zip(got, want):
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
 @pytest.mark.parametrize("source", list(CODE_SOURCES))

@@ -109,6 +109,12 @@ class TestDepthCommand:
         )
         assert rep["lower"] == rep["upper"] == rep["value"] == 5
 
+    def test_lambda0_ignores_tabs_and_newlines(self):
+        argv = ["depth", "--surface", "p2", "--bundle", "O(0)+O(3H)", "--lambda0"]
+        rc, out, err = run(argv + ["H\t+\nH\n\n"])
+        assert (rc, err) == (0, "")
+        assert out == run(argv + ["2H"])[1]
+
     def test_surface_no_filtration(self):
         rep = report_of(
             ["depth", "--surface", "p2", "--bundle", "O(0)+O(H)", "--lambda0", "3H"]
@@ -457,10 +463,62 @@ class TestMalformedInput:
             (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0=--H"], "lambda0"),
             (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0", "H+-H"], "lambda0"),
             (["depth", "--surface", "p2", "--bundle", "O(2H++H)", "--lambda0", "0"], "bundle"),
+            # argv the option table refuses
+            (["frobnicate"], "arguments"),
+            (["depth", "--curve", "--degrees", "1", "--lambda0", "0", "--bogus"], "arguments"),
+            (["filtration", "--field", "5", "--degrees", "1", "--lambda0"], "arguments"),
+            (["filtration", "--field", "5", "--degrees", "1"], "arguments"),
+            (["depth", "--surface", "p3", "--bundle", "O(H)", "--lambda0", "0"], "arguments"),
+            (["--format", "xml", "depth", "--curve", "--degrees", "1", "--lambda0", "0"],
+             "arguments"),
+            (["--seed", "x", "depth", "--curve", "--degrees", "1", "--lambda0", "0"], "arguments"),
+            (["depth", "stray", "--curve", "--degrees", "1", "--lambda0", "0"], "arguments"),
+            (["depth", "--curve", "--degrees", "1", "--lambda0", "0", "--format", "text"],
+             "arguments"),
+            # a value starting with '-' that is not a number reads as an option
+            (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0", "-H"], "arguments"),
+            # --h could be --help or --hmin
+            (["mmp-depth", "--h", "1", "--alpha", "1", "--beta", "0"], "arguments"),
+            (["depth", "--curve=1", "--degrees", "1", "--lambda0", "0"], "arguments"),
+            (["filtration", "--field", "5", "--degrees=", "--lambda0", "0"], "degrees"),
+            ([], "subcommand"),
+            (["--seed", "3"], "subcommand"),
         ],
     )
     def test_exit_one_and_field_named(self, argv, field):
         assert_one_line_error(run(argv), field)
+
+    @pytest.mark.parametrize("argv,same", [
+        ("filtration --fie 5 --degrees 3,1 --lambda0 -1",
+         "filtration --field 5 --degrees 3,1 --lambda0 -1"),
+        ("filtration --field=5 --degrees=3,1 --lambda0=-1",
+         "filtration --field 5 --degrees 3,1 --lambda0 -1"),
+        ("--se 4 --f=text depth --cu --d=2 --l 0",
+         "--seed 4 --format text depth --curve --degrees 2 --lambda0 0"),
+        ("--seed 1 --seed -2 depth --curve --degrees 2 --lambda0 1 --lambda0 0",
+         "--seed -2 depth --curve --degrees 2 --lambda0 0"),
+        ("depth --surface p2 --surface p1xp1 --bundle O(F1) --lambda0 0",
+         "depth --surface p1xp1 --bundle O(F1) --lambda0 0"),
+    ])
+    def test_argparse_forms_still_parse(self, argv, same):
+        # abbreviations, name=value, negative numbers as values, and the
+        # last of a repeated option
+        got = run(argv.split())
+        assert got == run(same.split())
+        assert got[0] == 0, got
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["--format", "text", "-h"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["depth", "-h", "--bogus"], ["mmp-depth", "--bogus", "--help"],
+    ], ids=" ".join)
+    def test_help_exits_zero_on_stdout(self, argv):
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, "")
+        assert out.startswith("usage: hierdepth ")
+        command = cli._COMMANDS.get(argv[0], cli._GLOBAL)
+        for option in command.options:
+            assert option.name in out.splitlines()[0]
 
     @pytest.mark.parametrize(
         "keys,field",
@@ -605,7 +663,8 @@ class TestOutputDiscipline:
         second = run(argv)
         assert first == second
 
-    def test_reused_parser_answers_like_a_fresh_one(self, tmp_path):
+    def test_repeated_calls_answer_alike(self, tmp_path):
+        # main keeps no state from one call to the next
         cfg = write_config(tmp_path, RS_CFG)
         calls = [
             ["hecke-verify", "--field", "7", "--degrees", "2,1",
@@ -616,17 +675,14 @@ class TestOutputDiscipline:
             ["code-analyze", "--config", cfg],
             ["--seed", "5", "mmp-depth", "--hmin", "1", "--alpha", "1", "--beta", "1"],
             ["depth", "--curve", "--degrees", "2,1", "--lambda0", "0"],
+            ["depth", "--help"],
         ]
-        fresh = []
-        for argv in calls:
-            cli._build_parser.cache_clear()
-            fresh.append(run(argv))
-        reused = [run(argv) for argv in calls]
-        assert cli._build_parser.cache_info().misses == 1
-        assert reused == fresh
-        assert [rc for rc, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0]
-        default = json.loads(reused[1][1])["covectors"]
-        assert default != json.loads(reused[0][1])["covectors"]
+        first = [run(argv) for argv in calls]
+        again = [run(argv) for argv in calls]
+        assert again == first
+        assert [rc for rc, _, _ in first] == [0, 0, 1, 0, 0, 0, 0, 0]
+        default = json.loads(first[1][1])["covectors"]
+        assert default != json.loads(first[0][1])["covectors"]
 
     @pytest.mark.parametrize("argv", [
         ["depth", "--curve", "--degrees", "2,1", "--lambda0", "0"],
@@ -763,6 +819,20 @@ def test_no_report_goes_through_the_indenting_encoder():
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if _indent_dumps(node)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_argparse():
+    # argv is read from cli's option table; argparse's parser cost several
+    # times the table's per request
+    src = ROOT / "src" / "hierdepth"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "argparse" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "argparse"
     ]
     assert found == []
 

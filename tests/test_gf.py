@@ -209,8 +209,9 @@ def _raw_product(node):
 
 def test_raw_products_sit_where_pinned():
     # dot_mod is the exact kernel. agcode._evaluate keeps a raw int64
-    # product whose sums overflow near 2**31, and the distance enumerator's
-    # float32 product counts 0/1 entries. A new raw product belongs in dot_mod.
+    # product whose sums overflow near 2**31; the distance enumerator's and
+    # the component split's float32 products count 0/1 entries, not field
+    # data. A new raw product belongs in dot_mod.
     found = set()
     for path in sorted(Path(gf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -218,7 +219,9 @@ def test_raw_products_sit_where_pinned():
                 _raw_product(n) for n in ast.walk(node)
             ):
                 found.add(f"{path.stem}.{node.name}")
-    assert found == {"gf.dot_mod", "agcode._evaluate", "agcode._min_weight"}
+    assert found == {
+        "gf.dot_mod", "agcode._evaluate", "agcode._min_weight", "agcode._components",
+    }
 
 
 def _trusted_refs(node):
@@ -308,10 +311,16 @@ MATRIX_FIELDS = [2, 3, 5, 7, 101, 65537, BIG]
     st.sampled_from(MATRIX_FIELDS),
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=1, max_value=8),
+    st.sampled_from([1, 2, 3]),
     st.randoms(use_true_random=False),
 )
-def test_rref_matches_rowwise_elimination(p, r, c, rnd):
-    data = [[rnd.randrange(p) for _ in range(c)] for _ in range(r)]
+def test_rref_matches_rowwise_elimination(p, r, c, blocks, rnd):
+    # with blocks > 1, row i and column j are nonzero together only in
+    # block i % blocks and j * blocks // c: block diagonal, rows interleaved
+    data = [
+        [rnd.randrange(p) if i % blocks == j * blocks // c else 0 for j in range(c)]
+        for i in range(r)
+    ]
     m = FMatrix(p, data, cols=c)
     assert rref(m).tolist() == rref_rowwise(data, p)
 

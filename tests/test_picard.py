@@ -152,6 +152,14 @@ def test_parse_class_examples():
     assert parse_class("H-E2", Y2) == Y2.divisor(1, 0, -1)
 
 
+def test_parse_class_ignores_every_kind_of_whitespace():
+    assert parse_class("2H\t+H", P2) == P2.divisor(3)
+    assert parse_class("2H\n\n", P2) == P2.divisor(2)
+    assert parse_class("2\tH", P2) == P2.divisor(2)
+    assert parse_class("\t5H +\r\n2E1\u00a0+ 3E2\n", Y2) == Y2.divisor(5, 2, 3)
+    assert parse_class(" 0\n", P2) == P2.zero()
+
+
 def test_parse_class_rejects_garbage():
     with pytest.raises(ValueError):
         parse_class("5X", P2)
