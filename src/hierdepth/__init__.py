@@ -2,8 +2,8 @@
 
 The toolkit covers prime moduli (field), prime-field linear algebra (gf),
 divisor-class lattices with intersection pairing (picard), split bundles
-with slopes and profiles (bundle), depth formulas with bounds and transfer
-laws (depth), transform chains (curve) and elementary transforms (hecke)
+and their parser (bundle), depth formulas with bounds and transfer laws
+(depth), transform chains (curve) and elementary transforms (hecke)
 on the line, block evaluation codes with exact minimum distance and
 zero-block contraction (agcode), and a JSON command line (cli).
 
@@ -17,7 +17,6 @@ from importlib import import_module as _import_module
 
 from .errors import (
     INFEASIBLE,
-    DistanceUnknown,
     DuplicatePoint,
     EmptyCode,
     EmptyMessageSpace,
@@ -46,16 +45,13 @@ from .picard import (
     parse_class,
     pullback,
 )
-from .bundle import HNProfile, SplitBundle, parse_bundle
+from .bundle import SplitBundle, parse_bundle
 from .depth import (
     NO_FILTRATION,
     HierFiltration,
-    blowup_delta,
     curve_split_depth,
-    depth_monotonic_check,
     mmp_exact_depth,
     rank_one_bound,
-    slope_profile,
     surface_split_depth,
     verify_filtration,
 )
@@ -77,7 +73,6 @@ _LAZY = {
             "commute_check",
             "first_usable_covector",
             "full_sections",
-            "probe_overlap",
         ),
         "agcode": (
             "agcode",
@@ -90,7 +85,6 @@ _LAZY = {
             "build_code",
             "min_distance",
             "mmp_compare",
-            "normalized_distance",
             "permute_points",
             "vanishing_basis",
             "zero_block_contract",

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import gf
 from .errors import (
-    DistanceUnknown,
     DuplicatePoint,
     EmptyCode,
     EmptyMessageSpace,
@@ -612,13 +611,6 @@ def zero_block_contract(code: LinearCode):
     dropped = set(zero)
     keep = [j for j in range(code.num_points) if j not in dropped]
     return _take_blocks(code, keep, in_order=True), _contraction_report(code, zero, code.d_min)
-
-
-def normalized_distance(code: LinearCode) -> Fraction:
-    """Exact ratio d_min / n. Requires the distance to be computed."""
-    if code.d_min is None:
-        raise DistanceUnknown("compute min_distance first")
-    return Fraction(code.d_min, code.n)
 
 
 def mmp_compare(code: LinearCode, budget: int = DEFAULT_BUDGET):

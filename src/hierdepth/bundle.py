@@ -3,33 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import LatticeMismatch
-from .picard import DivisorClass, Lattice, LatticeKind, intersect, parse_class
-
-
-@dataclass(frozen=True)
-class HNProfile:
-    """Slope profile of a split bundle on a curve.
-
-    groups lists (degree, multiplicity) pairs with strictly decreasing
-    degree; multiplicities are positive and sum to the rank.
-    """
-
-    groups: tuple[tuple[int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.groups)
-
-    @property
-    def slopes(self) -> tuple[int, ...]:
-        return tuple(g[0] for g in self.groups)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(g[1] for g in self.groups)
+from .picard import DivisorClass, Lattice, parse_class
 
 
 @dataclass(frozen=True)
@@ -61,31 +37,6 @@ class SplitBundle:
             total = total + s
         return total
 
-    def twist(self, c: DivisorClass) -> "SplitBundle":
-        """Tensor by a line bundle: shift every summand by c."""
-        return SplitBundle(tuple(s + c for s in self.summands))
-
-    def slope(self, polarization: DivisorClass) -> Fraction:
-        """Exact slope: det paired with the polarization, over the rank."""
-        if polarization.lattice != self.lattice:
-            raise LatticeMismatch("polarization is in a different lattice")
-        return Fraction(intersect(self.det(), polarization), self.rank)
-
-    def hn_profile(self) -> HNProfile:
-        """Group summand degrees by value, decreasing. Curve bundles only.
-
-        For a split bundle on a curve the filtration by degree is the
-        slope-canonical one, so the group count is the number of distinct
-        summand degrees.
-        """
-        if self.lattice.kind is not LatticeKind.CURVE:
-            raise LatticeMismatch("hn_profile is defined for curve bundles")
-        degrees = [s.coeffs[0] for s in self.summands]
-        groups = []
-        for d in sorted(set(degrees), reverse=True):
-            groups.append((d, degrees.count(d)))
-        return HNProfile(tuple(groups))
-
     def __repr__(self) -> str:
         inner = "+".join(f"O({s.notation()})" for s in self.summands)
         return f"SplitBundle({inner})"
@@ -95,9 +46,9 @@ def parse_bundle(text: str, lattice: Lattice) -> SplitBundle:
     """Parse 'O(3)+O(1)+O(0)' style notation on the given lattice.
 
     Each summand is O(expr) where expr is divisor-class notation; bare
-    integers are allowed on rank-one lattices.
+    integers are allowed on rank-one lattices. Whitespace is ignored.
     """
-    compact = text.replace(" ", "")
+    compact = "".join(text.split())
     if not compact:
         raise ValueError("empty bundle expression")
     parts = []

@@ -54,23 +54,12 @@ from .picard import Lattice, parse_class
 
 DEFAULT_SEED = 0
 
-# agcode names that callers read as cli attributes (cli.build_code, ...);
-# each read is forwarded to agcode, so it returns agcode's current object
-_AGCODE_NAMES = frozenset({
-    "DEFAULT_BUDGET",
-    "SPACES",
-    "VanishingCondition",
-    "all_rational_points",
-    "build_code",
-    "mmp_compare",
-    "vanishing_basis",
-    "zero_blocks",
-})
 
-
+# cli.build_code, which the benchmark's tracer reads as a cli attribute, is
+# forwarded to agcode, so it returns agcode's current (possibly wrapped) object
 def __getattr__(name):
-    if name in _AGCODE_NAMES:
-        return getattr(hierdepth.agcode, name)
+    if name == "build_code":
+        return hierdepth.agcode.build_code
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -140,6 +129,8 @@ def _cmd_depth(ns):
         name, lattice = "curve", Lattice.curve()
         det, lam = lattice.divisor(sum(degrees)), lattice.divisor(d0)
     else:
+        if ns.degrees is not None:
+            raise CliInputError("degrees", "--degrees is read only with --curve")
         name = ns.surface
         if name not in ("p2", "p1xp1"):
             raise CliInputError("surface", "expected p2 or p1xp1 (or use --curve)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundle import SplitBundle
 from .errors import (
@@ -22,13 +21,7 @@ from .errors import (
     NotEffective,
     ShapeMismatch,
 )
-from .picard import (
-    DivisorClass,
-    LatticeKind,
-    decompose_max,
-    intersect,
-    is_effective,
-)
+from .picard import DivisorClass, LatticeKind, decompose_max, is_effective
 
 
 @dataclass(frozen=True)
@@ -185,44 +178,3 @@ def mmp_exact_depth(h_min, alpha, beta) -> int:
             )
     return h_min + sum(a - x for a, x in zip(alpha, beta))
 
-
-def blowup_delta(f: HierFiltration) -> int:
-    """Number of steps whose increment touches an exceptional class."""
-    if f.lambda0.lattice.kind is not LatticeKind.BLOWUP_P2:
-        raise LatticeMismatch("blowup_delta expects a blowup lattice chain")
-    return sum(1 for d in f.increments if any(c != 0 for c in d.coeffs[1:]))
-
-
-def slope_profile(f: HierFiltration, polarization: DivisorClass):
-    """Slope increments along the chain, one exact rational per step.
-
-    Step i contributes intersect(D_i, polarization) / bundle_rank. For a
-    valid filtration every entry is nonnegative, and an entry vanishes
-    exactly when the increment pairs to zero with the polarization.
-    """
-    if polarization.lattice != f.lambda0.lattice:
-        raise LatticeMismatch("polarization is in a different lattice")
-    return [
-        Fraction(intersect(d, polarization), f.bundle_rank)
-        for d in f.increments
-    ]
-
-
-def depth_monotonic_check(sub_degrees, super_degrees, lambda0_degree) -> bool:
-    """Compare depths of a subsheaf model against its ambient bundle.
-
-    True when the depth for sub_degrees does not exceed the depth for
-    super_degrees at the same normalization, with NO_FILTRATION treated
-    as below every integer.
-    """
-    sub = [int(d) for d in sub_degrees]
-    sup = [int(d) for d in super_degrees]
-    if len(sub) != len(sup):
-        raise ShapeMismatch("degree vectors must have the same length")
-    h_sub = curve_split_depth(sub, lambda0_degree)
-    h_sup = curve_split_depth(sup, lambda0_degree)
-    if h_sub is NO_FILTRATION:
-        return True
-    if h_sup is NO_FILTRATION:
-        return False
-    return h_sub <= h_sup

@@ -86,7 +86,3 @@ class EmptyMessageSpace(HierdepthError):
 
 class EmptyCode(HierdepthError):
     """Code has no nonzero codeword."""
-
-
-class DistanceUnknown(HierdepthError):
-    """Minimum distance has not been computed for this code."""

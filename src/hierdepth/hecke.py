@@ -209,23 +209,6 @@ def _chain_final(chain) -> SubsheafModel:
     return SubsheafModel(chain.degrees, chain.twist, p, basis, chain.det_degrees[-1])
 
 
-def _three_routes(m, f1, f2) -> CommuteReport:
-    v12 = apply_transform(apply_transform(m, f1), f2).basis
-    v21 = apply_transform(apply_transform(m, f2), f1).basis
-    joint = _joint_kernel(m, f1, f2)
-    equal = v12 == v21 == joint
-    return CommuteReport(
-        dim_start=m.dim,
-        dim_v12=v12.rows,
-        dim_v21=v21.rows,
-        dim_joint=joint.rows,
-        equal=equal,
-        v12=v12,
-        v21=v21,
-        joint=joint,
-    )
-
-
 def commute_check(m: SubsheafModel, f1: PointFunctional,
                   f2: PointFunctional) -> CommuteReport:
     """Both transform orders against the joint kernel, for distinct points.
@@ -237,20 +220,18 @@ def commute_check(m: SubsheafModel, f1: PointFunctional,
     """
     if _same_point(f1.point, f2.point, m.p):
         raise OverlappingSupport(
-            "transform points coincide; use probe_overlap"
+            "transform points coincide; routes are compared at distinct points only"
         )
-    return _three_routes(m, f1, f2)
-
-
-def probe_overlap(m: SubsheafModel, f1: PointFunctional,
-                  f2: PointFunctional) -> CommuteReport:
-    """Same comparison at one shared point. No equality is guaranteed.
-
-    The report simply states whether the routes happen to agree for these
-    covectors. Distinct points belong to commute_check instead.
-    """
-    if not _same_point(f1.point, f2.point, m.p):
-        raise ValueError("points differ; use commute_check")
-    return _three_routes(m, f1, f2)
-
-
+    v12 = apply_transform(apply_transform(m, f1), f2).basis
+    v21 = apply_transform(apply_transform(m, f2), f1).basis
+    joint = _joint_kernel(m, f1, f2)
+    return CommuteReport(
+        dim_start=m.dim,
+        dim_v12=v12.rows,
+        dim_v21=v21.rows,
+        dim_joint=joint.rows,
+        equal=v12 == v21 == joint,
+        v12=v12,
+        v21=v21,
+        joint=joint,
+    )

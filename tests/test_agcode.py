@@ -25,14 +25,12 @@ from hierdepth.agcode import (
     mmp_compare,
     monomial_exponents,
     normalize_point,
-    normalized_distance,
     permute_points,
     vanishing_basis,
     zero_block_contract,
     zero_blocks,
 )
 from hierdepth.errors import (
-    DistanceUnknown,
     DuplicatePoint,
     EmptyCode,
     EmptyMessageSpace,
@@ -908,15 +906,6 @@ def test_zero_blocks_match_a_scan_of_every_block(r, num_points, k, rnd):
         if not any(any(row[j * r:(j + 1) * r]) for row in rows)
     )
     assert zero_blocks(blocks_code(rows, r, num_points)) == scan
-
-
-def test_normalized_distance_contract():
-    b = vanishing_basis(1, [], "P1", 5)
-    code = build_code([b], all_rational_points("P1", 5)[:4], 5)
-    with pytest.raises(DistanceUnknown):
-        normalized_distance(code)
-    min_distance(code)
-    assert normalized_distance(code) == Fraction(3, 4)
 
 
 def test_permute_points_is_weight_preserving():

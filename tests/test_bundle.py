@@ -1,10 +1,6 @@
-"""Split bundles: determinants, exact slopes, degree profiles."""
-
-from fractions import Fraction
+"""Split bundles: determinants, lattices and the O(...) parser."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hierdepth.bundle import SplitBundle, parse_bundle
 from hierdepth.errors import LatticeMismatch
@@ -12,11 +8,6 @@ from hierdepth.picard import Lattice, intersect, pullback
 
 CURVE = Lattice.curve()
 P2 = Lattice.p2()
-
-degree_vectors = st.lists(
-    st.integers(min_value=-4, max_value=6), min_size=1, max_size=5
-)
-
 
 def curve_bundle(degrees):
     return SplitBundle(tuple(CURVE.divisor(d) for d in degrees))
@@ -43,69 +34,11 @@ def test_summands_must_share_a_lattice():
         SplitBundle(())
 
 
-def test_slope_on_curve():
-    b = curve_bundle([3, 1, 0])
-    assert b.slope(CURVE.divisor(1)) == Fraction(4, 3)
-    assert curve_bundle([1, -1]).slope(CURVE.divisor(1)) == 0
-
-
-def test_slope_on_plane():
-    b = SplitBundle((P2.divisor(0), P2.divisor(3)))
-    assert b.slope(P2.divisor(1)) == Fraction(3, 2)
-
-
 def test_pullback_preserves_slope():
     b = SplitBundle((P2.divisor(0), P2.divisor(3)))
     up = SplitBundle(tuple(pullback(s, 2) for s in b.summands))
     h_up = pullback(P2.divisor(1), 2)
-    assert up.slope(h_up) == b.slope(P2.divisor(1))
-
-
-@given(degree_vectors, st.integers(min_value=-3, max_value=3))
-def test_twist_shifts_determinant(degrees, t):
-    b = curve_bundle(degrees)
-    shifted = b.twist(CURVE.divisor(t))
-    assert shifted.det() == b.det() + (b.rank * t) * CURVE.divisor(1)
-
-
-def test_profile_examples():
-    assert curve_bundle([3, 1, 0]).hn_profile().groups == ((3, 1), (1, 1), (0, 1))
-    assert curve_bundle([1, 1, 0]).hn_profile().groups == ((1, 2), (0, 1))
-    assert curve_bundle([1, 0, 0]).hn_profile().groups == ((1, 1), (0, 2))
-    assert curve_bundle([0, 0]).hn_profile().groups == ((0, 2),)
-
-
-def test_profile_lengths_match_distinct_degrees():
-    assert curve_bundle([3, 1, 0]).hn_profile().length == 3
-    assert curve_bundle([1, 1, 0]).hn_profile().length == 2
-    assert curve_bundle([1, 0, 0]).hn_profile().length == 2
-
-
-@given(degree_vectors)
-def test_profile_invariants(degrees):
-    prof = curve_bundle(degrees).hn_profile()
-    slopes = prof.slopes
-    assert list(slopes) == sorted(slopes, reverse=True)
-    assert len(set(slopes)) == len(slopes)
-    assert sum(prof.multiplicities) == len(degrees)
-    assert all(m > 0 for m in prof.multiplicities)
-
-
-@given(degree_vectors, st.integers(min_value=-3, max_value=3))
-def test_profile_shifts_under_twist(degrees, t):
-    base = curve_bundle(degrees).hn_profile()
-    shifted = curve_bundle([d + t for d in degrees]).hn_profile()
-    assert shifted.groups == tuple((d + t, m) for d, m in base.groups)
-
-
-def test_profile_needs_a_curve():
-    with pytest.raises(LatticeMismatch):
-        SplitBundle((P2.divisor(1),)).hn_profile()
-
-
-def test_slope_polarization_lattice_checked():
-    with pytest.raises(LatticeMismatch):
-        curve_bundle([1]).slope(P2.divisor(1))
+    assert intersect(up.det(), h_up) == intersect(b.det(), P2.divisor(1))
 
 
 def test_parse_bundle_round_trip():
@@ -120,8 +53,15 @@ def test_parse_bundle_round_trip():
         parse_bundle("3+4", CURVE)
 
 
-def test_slope_uses_pairing():
-    y = Lattice.blowup_p2(1)
-    b = SplitBundle((y.divisor(2, 1), y.divisor(1, 1)))
-    h = pullback(P2.divisor(1), 1)
-    assert b.slope(h) == Fraction(intersect(b.det(), h), 2)
+
+def test_parse_bundle_ignores_every_kind_of_whitespace():
+    two = SplitBundle((P2.divisor(1), P2.zero()))
+    assert parse_bundle("O(H)\t+O(0)", P2) == two
+    assert parse_bundle("O(H)+O(0)\n", P2) == two
+    assert parse_bundle("O(H)\r\n+\u00a0O(0)\n\n", P2) == two
+    assert parse_bundle("\tO(2H\t+H)\n", P2) == SplitBundle((P2.divisor(3),))
+    y = Lattice.blowup_p2(2)
+    by = parse_bundle("O(2H+E1)\n+\tO(3H +\r\nE1+3E2)", y)
+    assert by.det() == y.divisor(5, 2, 3)
+    with pytest.raises(ValueError):
+        parse_bundle(" \t\n", P2)

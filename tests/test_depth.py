@@ -1,7 +1,6 @@
 """Depth formulas, bounds, transfer laws, and filtration verification."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,12 +10,9 @@ from hierdepth.bundle import SplitBundle
 from hierdepth.depth import (
     NO_FILTRATION,
     HierFiltration,
-    blowup_delta,
     curve_split_depth,
-    depth_monotonic_check,
     mmp_exact_depth,
     rank_one_bound,
-    slope_profile,
     surface_split_depth,
     verify_filtration,
 )
@@ -256,75 +252,3 @@ class TestFiltrationRecords:
         assert f.top_determinant() == target.det()
         # two calls, four runs, one lookup and one store per run
         assert len(hashed) <= 2 * 4 * 2
-
-    def test_blowup_delta_counts_exceptional_steps(self):
-        f = self.chain_on_blowup()
-        # oracle: recount by hand
-        by_hand = sum(
-            1 for d in f.increments if d.coeffs[1] != 0 or d.coeffs[2] != 0
-        )
-        assert by_hand == 2
-        assert blowup_delta(f) == 2
-
-    def test_blowup_delta_needs_blowup_lattice(self):
-        f = HierFiltration(P2.zero(), (P2.divisor(1),), 1)
-        with pytest.raises(LatticeMismatch):
-            blowup_delta(f)
-
-    def test_slope_profile_on_blowup(self):
-        lat = Lattice.blowup_p2(2)
-        f = HierFiltration(
-            lambda0=lat.zero(),
-            increments=(lat.divisor(2, 0, 0), lat.divisor(0, 1, 0)),
-            bundle_rank=2,
-        )
-        h = pullback(P2.divisor(1), 2)
-        # 2H.H = 2 over rank 2; the exceptional step is invisible to f*H
-        assert slope_profile(f, h) == [Fraction(1), Fraction(0)]
-
-    def test_slope_profile_entries_nonnegative_on_valid_chains(self):
-        rng = random.Random(99)
-        lat = Lattice.blowup_p2(2)
-        h = pullback(P2.divisor(1), 2)
-        for _ in range(100):
-            incs = tuple(
-                lat.divisor(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
-                for _ in range(rng.randint(1, 5))
-            )
-            incs = tuple(d for d in incs if not d.is_zero)
-            if not incs:
-                continue
-            f = HierFiltration(lat.zero(), incs, rng.randint(1, 4))
-            profile = slope_profile(f, h)
-            assert all(x >= 0 for x in profile)
-            for d, x in zip(incs, profile):
-                from hierdepth.picard import intersect
-
-                assert (x == 0) == (intersect(d, h) == 0)
-
-    def test_slope_profile_checks_polarization(self):
-        f = HierFiltration(CURVE.zero(), (CURVE.divisor(1),), 1)
-        with pytest.raises(LatticeMismatch):
-            slope_profile(f, P2.divisor(1))
-
-
-class TestMonotonicity:
-    def test_examples(self):
-        assert depth_monotonic_check([2, 0], [3, 1], 0)
-        assert depth_monotonic_check([1, 1], [1, 1], 2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            depth_monotonic_check([1], [1, 2], 0)
-
-    @given(
-        st.lists(st.integers(min_value=-3, max_value=5), min_size=1, max_size=5),
-        st.data(),
-    )
-    def test_subsheaf_never_deeper(self, sup, data):
-        corrections = [
-            data.draw(st.integers(min_value=0, max_value=3)) for _ in sup
-        ]
-        sub = [d - c for d, c in zip(sup, corrections)]
-        lam = data.draw(st.integers(min_value=-6, max_value=6))
-        assert depth_monotonic_check(sub, sup, lam)

@@ -36,7 +36,6 @@ from hierdepth.hecke import (
     commute_check,
     first_usable_covector,
     full_sections,
-    probe_overlap,
 )
 from hierdepth.picard import Lattice
 
@@ -265,38 +264,6 @@ def test_transform_order_irrelevant_for_four_points():
         done += 1
         assert forward.basis == backward.basis
         assert forward.det_degree == backward.det_degree
-
-
-def test_probe_overlap_independent_directions_agree():
-    m = full_sections([0, 0], 5)
-    q = RationalPoint.affine(0)
-    for q2 in (q, RationalPoint.affine(5)):  # 5 is the point 0 over F_5
-        rep = probe_overlap(
-            m,
-            PointFunctional(q, (1, 0)),
-            PointFunctional(q2, (0, 1)),
-        )
-        assert rep.equal
-        assert (rep.dim_v12, rep.dim_v21, rep.dim_joint) == (0, 0, 0)
-
-
-def test_probe_overlap_same_covector_is_vacuous():
-    m = full_sections([0, 0], 5)
-    q = RationalPoint.affine(0)
-    phi = PointFunctional(q, (1, 0))
-    with pytest.raises(VacuousTransform):
-        probe_overlap(m, phi, PointFunctional(q, (1, 0)))
-
-
-def test_probe_overlap_rejects_distinct_points():
-    m = full_sections([0, 0], 5)
-    for q in (RationalPoint.affine(1), INFINITY):
-        with pytest.raises(ValueError):
-            probe_overlap(
-                m,
-                PointFunctional(RationalPoint.affine(0), (1, 0)),
-                PointFunctional(q, (0, 1)),
-            )
 
 
 class TestBuildChain:
