@@ -85,9 +85,10 @@ def _widths(degrees, twist: int) -> tuple[int, ...]:
 
 # Widest section space a model may have. A chain computes no basis, so the
 # cap bounds only the ones its start and final build when read: one kernel
-# of a steps x width matrix, which for a full chain on one summand takes
-# 0.23 s at both p = 100003 and p = 2**31 - 1 (one Xeon core) and holds at
-# most a few MAX_WIDTH**2 int64 arrays (1.1 MiB each).
+# per block left with sections, k x w for a block of width w that took k
+# points. A full chain on one summand is the widest such kernel, 382 x 383;
+# it takes 0.21 s at both p = 100003 and p = 2**31 - 1 (one Xeon core) and
+# holds at most a few MAX_WIDTH**2 int64 arrays (1.1 MiB each).
 MAX_WIDTH = 384
 
 
@@ -114,7 +115,10 @@ class TransformChain:
 
     on O(d_i + twist); step j uses e_i, i = picks[j], and drops the dimension
     and the determinant ledger by one. start (the twisted full section space)
-    and final are hecke models, built each time they are read.
+    and final are hecke models, built each time they are read: block i of
+    final holds the forms of degree w_i - 1 vanishing at the points block i
+    took, which is agcode.vanishing_basis on P1, and start is final with no
+    picks.
     """
 
     degrees: tuple[int, ...]

@@ -47,9 +47,6 @@ class HierFiltration:
     def length(self) -> int:
         return len(self.increments)
 
-    def top_determinant(self) -> DivisorClass:
-        return _telescope(self.lambda0, _distinct(self.increments))
-
 
 def _distinct(increments) -> Counter:
     """Each distinct increment with its count, hashing each run once.
@@ -72,14 +69,6 @@ def _distinct(increments) -> Counter:
     return counts
 
 
-def _telescope(lambda0: DivisorClass, counts: Counter) -> DivisorClass:
-    """lambda0 plus every distinct increment times its count."""
-    total = lambda0
-    for d, k in counts.items():
-        total = total + k * d
-    return total
-
-
 def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     """Check f is a valid determinant chain for the target bundle.
 
@@ -98,7 +87,7 @@ def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     for d in distinct:
         if d.is_zero or not is_effective(d):
             return False
-    return _telescope(f.lambda0, distinct) == target.det()
+    return sum((k * d for d, k in distinct.items()), f.lambda0) == target.det()
 
 
 def curve_split_depth(degrees, lambda0_degree: int):

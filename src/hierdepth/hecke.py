@@ -13,8 +13,9 @@ at the point at infinity [1:0] reads the top coefficient of each block.
 The transform is refused as vacuous when the functional already vanishes
 on the whole subspace, since then no colength-one modification happens.
 
-A chain's start and final models (curve.TransformChain) are joint kernels
-built here when read; curve.MAX_WIDTH bounds a chain only through them.
+A chain's start and final models (curve.TransformChain) are built here
+when read, block by block from agcode's vanishing bases; curve.MAX_WIDTH
+bounds a chain only through them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import gf
-from .curve import RationalPoint, _check_width, _widths
+from . import agcode, gf
+from .curve import RationalPoint, _check_width, _widths, point_at
 from .errors import OverlappingSupport, VacuousTransform
 from .field import Field
 from .gf import FMatrix
@@ -53,7 +54,7 @@ class SubsheafModel:
     shift applied to every block in the stored coordinates; det_degree
     ledgers the untwisted determinant degree, dropping by one per
     transform. The basis is in reduced echelon form: full_sections starts
-    from an identity, a chain's models are kernels and each transform keeps
+    from an identity, a chain's models stack kernels and each transform keeps
     the form, so no step re-checks it; the joint kernel relies on it.
     """
 
@@ -93,24 +94,19 @@ def full_sections(degrees, p: int) -> SubsheafModel:
     return SubsheafModel(degrees, 0, p, basis, sum(degrees))
 
 
-def _powers(coords, p: int, widths) -> np.ndarray:
-    """coords[j]**k mod p for k < max(widths); entries < p keep products exact."""
-    coords = np.asarray(coords, dtype=np.int64)
-    pw = np.ones((coords.size, max(widths, default=0)), dtype=np.int64)
-    for k in range(1, pw.shape[1]):
-        pw[:, k] = pw[:, k - 1] * coords % p
-    return pw
-
-
 def _point_rows(m: SubsheafModel, point: RationalPoint) -> np.ndarray:
     """Width x rank: column i evaluates block i alone at point, by the
     powers 1, q, q^2, ... of an affine point q across the block, or at
     infinity by the block's top coefficient."""
     widths = m.block_widths
     rows = np.zeros((sum(widths), len(widths)), dtype=np.int64)
-    pw = None if point.is_infinity else _powers([point.coord % m.p], m.p, widths)[0]
+    pw = [1]
+    if not point.is_infinity:
+        q = point.coord % m.p
+        for _ in range(max(widths) - 1):
+            pw.append(pw[-1] * q % m.p)
     for i, (w, off) in enumerate(zip(widths, accumulate(widths, initial=0))):
-        if w and pw is None:
+        if w and point.is_infinity:
             rows[off + w - 1, i] = 1
         elif w:
             rows[off:off + w, i] = pw[:w]
@@ -161,7 +157,6 @@ def first_usable_covector(m: SubsheafModel,
 class CommuteReport:
     """Outcome of comparing transform routes against the joint kernel."""
 
-    dim_start: int
     dim_v12: int
     dim_v21: int
     dim_joint: int
@@ -171,11 +166,9 @@ class CommuteReport:
     joint: FMatrix
 
 
-def _same_point(a: RationalPoint, b: RationalPoint, p: int) -> bool:
-    """Whether two points are the same point of the line over F_p."""
-    if a.is_infinity or b.is_infinity:
-        return a.is_infinity and b.is_infinity
-    return (a.coord - b.coord) % p == 0
+def _homogeneous(point: RationalPoint, p: int) -> tuple[int, int]:
+    """The point of the line over F_p as (1, q mod p), or infinity as (0, 1)."""
+    return (0, 1) if point.is_infinity else (1, point.coord % p)
 
 
 def _joint_kernel(m: SubsheafModel, f1, f2) -> FMatrix:
@@ -190,23 +183,26 @@ def _joint_kernel(m: SubsheafModel, f1, f2) -> FMatrix:
 def _chain_final(chain) -> SubsheafModel:
     """The subsheaf after a curve.TransformChain's last step.
 
-    Its transforms sit at distinct points, so they commute and end on the
-    joint kernel of their functionals, a steps x width matrix. Row j is
-    _functional_row for e_i, i = picks[j], at point_at(j, p): the powers of
-    j across block i from one table, or at infinity the block's top entry.
+    Each step cuts one block, so the basis is block-diagonal: block i holds
+    agcode's forms of degree w_i - 1 vanishing at the points it took, in
+    point_at's order. A filled block keeps no section and is not built; a
+    block no step reached comes back as the identity from the same call.
     """
-    p, picks = chain.p, chain.picks
-    widths = _widths(chain.degrees, chain.twist)
-    offsets = list(accumulate(widths, initial=0))
-    pw = _powers(range(min(len(picks), p)), p, widths)
-    rows = np.zeros((len(picks), offsets[-1]), dtype=np.int64)
-    for j, i in enumerate(picks):
-        if j < p:
-            rows[j, offsets[i]:offsets[i + 1]] = pw[j, :widths[i]]
-        else:
-            rows[j, offsets[i + 1] - 1] = 1
-    basis = gf.kernel_basis(FMatrix(p, rows, cols=offsets[-1]))
-    return SubsheafModel(chain.degrees, chain.twist, p, basis, chain.det_degrees[-1])
+    p, widths = chain.p, _widths(chain.degrees, chain.twist)
+    basis = np.zeros((chain.dims[-1], sum(widths)), dtype=np.int64)
+    row = col = 0
+    for i, w in enumerate(widths):
+        # a block that took points follows only filled ones, which took a
+        # point per column, so its points start at its offset
+        k = chain.picks.count(i)
+        if k < w:
+            conditions = [agcode.VanishingCondition(_homogeneous(point_at(t, p), p))
+                          for t in range(col, col + k)]
+            block = agcode.vanishing_basis(w - 1, conditions, "P1", p).basis
+            basis[row:row + block.rows, col:col + w] = block.array
+            row += block.rows
+        col += w
+    return SubsheafModel(chain.degrees, chain.twist, p, FMatrix(p, basis), chain.det_degrees[-1])
 
 
 def commute_check(m: SubsheafModel, f1: PointFunctional,
@@ -218,7 +214,7 @@ def commute_check(m: SubsheafModel, f1: PointFunctional,
     compared mod p, are refused, and a vacuous second step propagates as
     VacuousTransform.
     """
-    if _same_point(f1.point, f2.point, m.p):
+    if _homogeneous(f1.point, m.p) == _homogeneous(f2.point, m.p):
         raise OverlappingSupport(
             "transform points coincide; routes are compared at distinct points only"
         )
@@ -226,7 +222,6 @@ def commute_check(m: SubsheafModel, f1: PointFunctional,
     v21 = apply_transform(apply_transform(m, f2), f1).basis
     joint = _joint_kernel(m, f1, f2)
     return CommuteReport(
-        dim_start=m.dim,
         dim_v12=v12.rows,
         dim_v21=v21.rows,
         dim_joint=joint.rows,

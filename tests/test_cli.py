@@ -2,11 +2,13 @@
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import resource
 import shlex
 import subprocess
@@ -270,6 +272,19 @@ class TestHeckeVerifyCommand:
                 "error: OverlappingSupport: transform points coincide;"
                 " routes are compared at distinct points only\n"
             ))
+
+    def test_models_with_empty_blocks(self):
+        # an all-empty model has no section and no power to take: exit 2,
+        # never a traceback
+        assert run(["hecke-verify", "--field", "2", "--degrees=-1", "--points", "0,inf"]) == (
+            2, "", "error: VacuousTransform: no usable covector at point 0\n"
+        )
+        rep = report_of(
+            ["hecke-verify", "--field", "2", "--degrees=-1,2", "--points", "inf,0"]
+        )
+        assert rep["covectors"] == [[0, 1], [0, 1]]
+        assert rep["routes"] == {"dim_joint": 1, "dim_v12": 1, "dim_v21": 1}
+        assert rep["equal"] is True
 
     def test_oversized_section_space_is_refused(self):
         rc, _, err = run(
@@ -967,25 +982,58 @@ def test_cli_still_reads_its_agcode_names():
 # takes its inputs from them.
 UNCALLED_EXPORTS = {"blowup_split", "pullback"}
 
+# Members kept without a caller: a chain's start is the replay oracle's
+# starting model for the closed-form picks, and ROADMAP item 8's witness
+# reads it.
+UNCALLED_MEMBERS = {"TransformChain.start"}
 
-def test_every_export_has_a_caller():
-    # a name counts as read where it is loaded, as a name or as an attribute,
-    # in src/hierdepth (outside __init__), scripts/, perfbench/ or the
-    # acceptance criteria; unit tests and the export pin do not count
-    import hierdepth
 
+def loaded_names():
+    """Names and attribute names loaded in src/hierdepth (outside __init__),
+    scripts/, perfbench/ or the acceptance criteria; unit tests and the
+    export pin do not count."""
     paths = [q for q in (ROOT / "src" / "hierdepth").glob("*.py") if q.name != "__init__.py"]
     paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     paths.append(ROOT / "tests" / "test_acceptance.py")
-    loaded = set()
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_export_has_a_caller():
+    # a name counts as read where it is loaded, as a name or as an attribute
+    import hierdepth
+
+    names, attributes = loaded_names()
     exported = {
         name for name in dir(hierdepth)
         if not name.startswith("_") and not inspect.ismodule(getattr(hierdepth, name))
     }
-    assert sorted(exported - loaded - UNCALLED_EXPORTS) == []
+    assert sorted(exported - names - attributes - UNCALLED_EXPORTS) == []
+
+
+def test_every_class_member_has_a_caller():
+    # a public method, property or dataclass field of a class the package
+    # defines counts as read where it is loaded as an attribute
+    import hierdepth
+
+    members = set()
+    for info in pkgutil.iter_modules(hierdepth.__path__):
+        module = importlib.import_module(f"hierdepth.{info.name}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            names = [f.name for f in fields]
+            names += [name for name, value in vars(cls).items() if inspect.isfunction(value)
+                      or isinstance(value, (property, classmethod, staticmethod))]
+            members |= {f"{cls.__name__}.{name}" for name in names if not name.startswith("_")}
+    assert len(members) > 50
+    _, attributes = loaded_names()
+    uncalled = {member for member in members if member.split(".")[1] not in attributes}
+    assert sorted(uncalled - UNCALLED_MEMBERS) == []

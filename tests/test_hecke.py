@@ -171,7 +171,6 @@ def test_commute_example_rank_two():
         PointFunctional(RationalPoint.affine(1), (0, 1)),
     )
     assert (rep.dim_v12, rep.dim_v21, rep.dim_joint) == (0, 0, 0)
-    assert rep.dim_start == 2
     assert rep.equal
 
 
@@ -349,8 +348,8 @@ class TestBuildChain:
             build_curve_filtration([10**6], 0, 2**31 - 1)  # 10**6 steps
 
     def test_widest_chain_keeps_no_step_basis(self):
-        # the final basis is one kernel of the chain's functionals, so 382
-        # steps at the full width hold a few MAX_WIDTH**2 arrays (1.1 MiB
+        # the final basis takes one kernel per block, so 382 steps on one
+        # block of the full width hold a few MAX_WIDTH**2 arrays (1.1 MiB
         # each), not one per step (217 MiB)
         tracemalloc.start()
         try:
@@ -431,7 +430,7 @@ def test_chain_follows_the_block_capacity_rule(p, degrees, data):
     st.data(),
 )
 def test_chain_replays_through_the_public_transforms(p, degrees, data):
-    # The chain's final model is one joint kernel; replaying the chain from
+    # The chain's final model is built block by block; replaying the chain from
     # its start through the checked first_usable_covector and
     # apply_transform must pick the recorded standard covector at every
     # step and end on the final model, and both bases are read-only.
@@ -471,8 +470,10 @@ def test_chain_checks_the_prime_once(monkeypatch, degrees, steps):
 def test_chain_cuts_only_the_part_full_block(monkeypatch, degrees, steps, p, part):
     # Building a chain cuts nothing and builds no model: picks, dims and
     # determinant degrees are closed form, and only the part-full block is
-    # left with steps short of its width. Replaying the block-capacity picks
-    # through apply_transform gives the final model read afterwards.
+    # left with steps short of its width. Reading final eliminates block by
+    # block: once per block left with sections, never for a filled block and
+    # never wider than one block. Replaying the block-capacity picks through
+    # apply_transform gives that final model.
     def refuse(*args, **kwargs):
         raise AssertionError("a basis was built with the chain")
 
@@ -486,11 +487,19 @@ def test_chain_cuts_only_the_part_full_block(monkeypatch, degrees, steps, p, par
     assert sum(k for i, w in enumerate(widths)
                if 0 < (k := chain.picks.count(i)) < w) == part
     assert chain.picks == tuple(i for i, w in enumerate(widths) for _ in range(w))[:steps]
+    eliminated = []
+    rref = gf._rref_array
+    monkeypatch.setattr(gf, "_rref_array",
+                        lambda a, q: eliminated.append(a.shape[1]) or rref(a, q))
+    final = chain.final
+    monkeypatch.undo()
+    assert sorted(eliminated) == sorted(
+        w for i, w in enumerate(widths) if chain.picks.count(i) < w)
     current = chain.start
     for j, i in enumerate(chain.picks):
         e_i = tuple(int(k == i) for k in range(len(degrees)))
         current = apply_transform(current, PointFunctional(point_at(j, p), e_i))
-    assert current == chain.final
+    assert current == final
 
 
 @pytest.mark.parametrize("p", [2, 5, 101])
