@@ -169,36 +169,35 @@ def _taylor(values, degree: int, order: int, p: int) -> np.ndarray:
 
 
 def _condition_rows(degree, nvars, points, orders, p) -> np.ndarray:
-    """Hasse-derivative functionals at normalized points, stacked point by point.
+    """Hasse-derivative functionals at normalized points, grouped by order.
 
-    points is one point or a sequence of them, and orders the matching order
-    or orders. Point c contributes a functional per multi-index i of total
-    order below orders[c], zero in the chart (the first nonzero coordinate,
-    which is one). Its entry at the monomial with exponents f is the product
-    over v of C(f_v, i_v) * point_v**(f_v - i_v), one gather per variable
-    from a Taylor table. The points of one order share one table, only as
-    deep as that order, so a high-order point does not widen the table of
-    many low-order ones. In small characteristic the binomials implement
-    divided powers, so order-o vanishing is characterized correctly even
-    when o exceeds p.
+    The points of each order, lowest first, give one group of rows, point
+    after point in input order; only their span is used. A point of order o
+    contributes a functional per multi-index i of total order below o, zero
+    in the chart (the first nonzero coordinate, which is one). Its entry at
+    the monomial with exponents f is the product over v of
+    C(f_v, i_v) * point_v**(f_v - i_v), one gather per variable from a
+    Taylor table. The points of one order share one table, only as deep as
+    that order, so a high-order point does not widen the table of many
+    low-order ones. In small characteristic the binomials implement divided
+    powers, so order-o vanishing is characterized correctly even when o
+    exceeds p.
     """
-    if isinstance(orders, int):
-        points, orders = [points], [orders]
     monos = np.array(monomial_exponents(degree, nvars))
-    blocks = [None] * len(orders)
-    for order in set(orders):
-        group = [c for c, o in enumerate(orders) if o == order]
-        # degree + 1 x group x nvars x order
-        table = _taylor([points[c] for c in group], degree, order, p)
-        for k, c in enumerate(group):
-            multi = np.array(monomial_exponents(order - 1, nvars))
-            multi[:, int(np.flatnonzero(points[c])[0])] = 0
-            # table entries lie below p, so the first gather needs no reduction
-            rows = table[monos[None, :, 0], k, 0, multi[:, None, 0]]
-            for v in range(1, nvars):
-                rows = rows * table[monos[None, :, v], k, v, multi[:, None, v]] % p
-            blocks[c] = rows
-    return np.concatenate([np.zeros((0, len(monos)), dtype=np.int64), *blocks])
+    groups = [np.zeros((0, len(monos)), dtype=np.int64)]
+    for order in sorted(set(orders)):
+        group = [pt for pt, o in zip(points, orders) if o == order]
+        table = _taylor(group, degree, order, p)  # degree + 1 x group x nvars x order
+        charts = np.array([pt.index(1) for pt in group])[:, None, None]
+        # group x multi-index x nvars
+        multi = np.array(monomial_exponents(order - 1, nvars)) * (np.arange(nvars) != charts)
+        g = np.arange(len(group))[:, None, None]
+        # table entries lie below p, so the first gather needs no reduction
+        rows = table[monos[:, 0], g, 0, multi[..., :1]]
+        for v in range(1, nvars):
+            rows = rows * table[monos[:, v], g, v, multi[..., v:v + 1]] % p
+        groups.append(rows.reshape(-1, len(monos)))
+    return np.concatenate(groups)
 
 
 def vanishing_basis(degree: int, conditions, space: str,
@@ -482,8 +481,8 @@ def _min_weight(reduced: np.ndarray, p: int) -> int:
     best = int(np.count_nonzero(table[1:], axis=1).min()) if t else n
     # head classes per chunk: no more than the first lead row has
     width = n * p if t else n
-    chunk = max(1, min(CHUNK_CELLS // width, p ** max(k - t - 1, 0)))
-    if 0 < t < k:
+    chunk = max(1, min(CHUNK_CELLS // width, p ** (k - t - 1)))
+    if t:
         columns = np.arange(n, dtype=np.int64) * p
         onehot = np.zeros((width, p**t), dtype=np.float32)
         onehot[columns + table, np.arange(p**t)[:, None]] = 1

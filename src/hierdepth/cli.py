@@ -452,11 +452,6 @@ class _Command:
         self.name, self.run, self.about, self.options = name, run, about, options
         self.lookup = {"-h": _HELP, "--help": _HELP, **{o.name: o for o in options}}
         self.defaults = {o.dest: o.default for o in options}
-        # every prefix of a long name, from "--", and the names it begins
-        self.prefixes = {}
-        for name in ("--help", *(o.name for o in options)):
-            for end in range(2, len(name) + 1):
-                self.prefixes.setdefault(name[:end], []).append(name)
 
     def help(self) -> str:
         """The --help text: usage, then what the level does."""
@@ -553,7 +548,7 @@ def _option(token: str, command: _Command):
     if eq and name in lookup:
         return lookup[name], inline
     if token[1] == "-":
-        matches = command.prefixes.get(name, ())
+        matches = [n for n in lookup if n.startswith(name)]
         inline = inline if eq else None
     else:
         matches = ("-h",) if token.startswith("-h") else ()

@@ -254,8 +254,6 @@ def parse_class(text: str, lattice: Lattice) -> DivisorClass:
                     f"bare coefficient {term!r} is ambiguous on a rank-"
                     f"{lattice.rank} lattice"
                 )
-            if num in ("", "+", "-"):
-                raise ValueError(f"bad divisor term {term!r} in {text!r}")
             coeffs[0] += int(num)
             continue
         gen = gen.upper()

@@ -243,9 +243,45 @@ def test_condition_rows_match_the_per_entry_formula(p, space, data, rnd):
     # one row per multi-index, in monomial_exponents(order - 1) order
     keys = [m[:chart] + m[chart + 1:] for m in monomial_exponents(order - 1, nvars)]
     assert sorted(keys) == sorted(want)
-    assert agcode._condition_rows(degree, nvars, pt, order, p).tolist() == [
+    assert agcode._condition_rows(degree, nvars, [pt], [order], p).tolist() == [
         want[k] for k in keys
     ]
+
+
+def reference_point_rows(degree, nvars, pt, order, p):
+    """The per-entry rows of one point, in monomial_exponents(order - 1) order."""
+    chart = pt.index(1)
+    want = reference_condition_rows(degree, nvars, pt, order, p)
+    return [want[m[:chart] + m[chart + 1:]] for m in monomial_exponents(order - 1, nvars)]
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]),
+    st.sampled_from(["P1", "P2"]),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_condition_rows_come_grouped_by_order(p, space, data, rnd):
+    # Mixed charts, repeated points and mixed orders: the rows are the
+    # per-point rows of each order, lowest first, in input order within it.
+    nvars = agcode.SPACES[space]
+    degree = data.draw(st.integers(0, 24 if space == "P1" else 9))
+    pool = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        chart = data.draw(st.integers(0, nvars - 1))
+        tail = tuple(rnd.randrange(p) for _ in range(nvars - chart - 1))
+        pool.append((0,) * chart + (1,) + tail)
+    points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    orders = data.draw(st.lists(st.integers(1, degree + 2), min_size=len(points),
+                                max_size=len(points)))
+    per_point = [reference_point_rows(degree, nvars, pt, o, p) for pt, o in zip(points, orders)]
+    grouped = [row for order in sorted(set(orders))
+               for rows, o in zip(per_point, orders) if o == order for row in rows]
+    assert agcode._condition_rows(degree, nvars, points, orders, p).tolist() == grouped
+    # only the span is used: the basis is the kernel of the per-point stack
+    stack = FMatrix(p, [row for rows in per_point for row in rows])
+    conditions = [VanishingCondition(pt, o) for pt, o in zip(points, orders)]
+    assert vanishing_basis(degree, conditions, space, p).basis == gf.kernel_basis(stack)
 
 
 def test_the_largest_accepted_condition_build_stays_small():

@@ -508,6 +508,17 @@ class TestMalformedInput:
             # --degrees is read only with --curve, as --bundle only without it
             (["depth", "--surface", "p2", "--bundle", "O(H)", "--degrees", "1,2",
               "--lambda0", "0"], "degrees"),
+            # refusals no other row reaches: unbalanced parentheses, a coefficient
+            # that is not an integer, --curve with --surface, a short covector
+            (["depth", "--surface", "p2", "--bundle", "O((H)", "--lambda0", "0"], "bundle"),
+            (["depth", "--surface", "p2", "--bundle", "O(H))+O(0", "--lambda0", "0"], "bundle"),
+            (["depth", "--surface", "p2", "--bundle", "O(H)", "--lambda0", "2.5H"], "lambda0"),
+            (["depth", "--curve", "--surface", "p2", "--degrees", "1", "--lambda0", "0"], "curve"),
+            (
+                ["hecke-verify", "--field", "5", "--degrees", "1,1",
+                 "--points", "0,1", "--covectors", "1;1,0"],
+                "covectors",
+            ),
         ],
     )
     def test_exit_one_and_field_named(self, argv, field):
@@ -572,6 +583,10 @@ class TestMalformedInput:
                 {"p": "2", "points": "all-rational", "exclude": ["1:0", "1:1", "0:1"]},
                 "exclude", id="every-point-excluded",
             ),
+            pytest.param({"space": "P3"}, "space", id="unknown-space"),
+            pytest.param({"p": ["5", "7"]}, "p", id="p-twice"),
+            pytest.param({"exclude": "1:0"}, "exclude", id="exclude-with-explicit-points"),
+            pytest.param({"points": "1:x, 1:0"}, "points", id="point-not-integers"),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, keys, field):
@@ -581,6 +596,15 @@ class TestMalformedInput:
             for v in ([vs] if isinstance(vs, str) else vs)
         ]
         cfg = write_config(tmp_path, "".join(lines))
+        assert_one_line_error(run(["code-analyze", "--config", cfg]), field)
+
+    @pytest.mark.parametrize("text,field", [
+        ("space = P1\nsummand = 1\npoints = 1:0, 1:1\n", "p"),
+        ("p = 5\nspace = P1\nsummand = 1\n", "points"),
+        ("p = 5\nspace P1\nsummand = 1\npoints = 1:0, 1:1\n", "config"),
+    ])
+    def test_config_missing_key_or_bad_line_exits_one(self, tmp_path, text, field):
+        cfg = write_config(tmp_path, text)
         assert_one_line_error(run(["code-analyze", "--config", cfg]), field)
 
     def test_config_errors_name_the_key(self, tmp_path):
