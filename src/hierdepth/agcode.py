@@ -1,5 +1,10 @@
 """Evaluation codes from section spaces on the line and the plane.
 
+SPACES, a space's count n of homogeneous coordinates, is the one place a
+space is described; every other rule is read from n. all_rational_points
+lists a space's points normalized, (1, *) first, then (0, 1, *), down to
+(0, ..., 0, 1), with each * in lexicographic order.
+
 A code is built from one section basis per bundle summand and a list of
 rational evaluation points. Each point contributes a block of r coordinates
 (one per summand); the codeword of a message is the list of section values
@@ -30,6 +35,7 @@ and is at most 1 MiB.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -60,20 +66,20 @@ MAX_MONOMIALS = 2**12
 # of it building rows.
 MAX_FUNCTIONAL_CELLS = 2**30
 
-# Homogeneous coordinates of a point, per space.
+# Homogeneous coordinates of a point: the one fact each space adds.
 SPACES = {"P1": 2, "P2": 3}
 
 
 def monomial_exponents(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of the degree-d monomials, in a fixed order."""
+    """Exponent vectors of the degree-d monomials, in descending lexicographic order."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if nvars == 2:
-        return tuple((a, degree - a) for a in range(degree, -1, -1))
-    if nvars == 3:
-        return tuple((a, b, degree - a - b)
-                     for a in range(degree, -1, -1) for b in range(degree - a, -1, -1))
-    raise ValueError("only 2 or 3 variables are supported")
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    monos = [(degree,)]
+    for _ in range(nvars - 1):  # split the last exponent in two, the first part falling
+        monos = [m[:-1] + (a, m[-1] - a) for m in monos for a in range(m[-1], -1, -1)]
+    return tuple(monos)
 
 
 def normalize_point(coords, p: int) -> tuple[int, ...]:
@@ -95,21 +101,20 @@ def _normalize(coords, p: int) -> tuple[int, ...]:
 
 
 def all_rational_points(space: str, p: int) -> list[tuple[int, ...]]:
-    """Every rational point of the space, normalized, in a fixed order.
+    """Every rational point of the space, in the order the module docstring states.
 
     Raises TooLarge when the space has more than MAX_POINTS points.
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     Field(p)
-    count = p + 1 if space == "P1" else p * p + p + 1
+    n = SPACES[space]
+    count = (p**n - 1) // (p - 1)
     if count > MAX_POINTS:
         raise TooLarge(f"{space} over F_{p} has {count} points, above the cap {MAX_POINTS}")
-    if space == "P1":
-        return [(1, t) for t in range(p)] + [(0, 1)]
-    pts = [(1, b, c) for b in range(p) for c in range(p)]
-    pts += [(0, 1, c) for c in range(p)]
-    pts.append((0, 0, 1))
+    pts = []
+    for lead in range(n):  # the points with `lead` zeros before their one
+        pts += itertools.product(*[(0,)] * lead, (1,), *[range(p)] * (n - lead - 1))
     return pts
 
 
@@ -134,14 +139,12 @@ class SectionBasis:
     degree: int
     p: int
     basis: FMatrix
+    # monomial_exponents(degree, SPACES[space]), read-only; == and repr skip it
+    exponents: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    @property
-    def monomials(self) -> tuple[tuple[int, ...], ...]:
-        return monomial_exponents(self.degree, SPACES[self.space])
 
 
 def _point_on(space: str, pt, p: int) -> tuple[int, ...]:
@@ -168,7 +171,7 @@ def _taylor(values, degree: int, order: int, p: int) -> np.ndarray:
     return table
 
 
-def _condition_rows(degree, nvars, points, orders, p) -> np.ndarray:
+def _condition_rows(exponents, points, orders, p) -> np.ndarray:
     """Hasse-derivative functionals at normalized points, grouped by order.
 
     The points of each order, lowest first, give one group of rows, point
@@ -183,20 +186,20 @@ def _condition_rows(degree, nvars, points, orders, p) -> np.ndarray:
     powers, so order-o vanishing is characterized correctly even when o
     exceeds p.
     """
-    monos = np.array(monomial_exponents(degree, nvars))
-    groups = [np.zeros((0, len(monos)), dtype=np.int64)]
+    nvars, degree = exponents.shape[1], int(exponents[0, 0])  # x_0**degree leads
+    groups = [np.zeros((0, len(exponents)), dtype=np.int64)]
     for order in sorted(set(orders)):
-        group = [pt for pt, o in zip(points, orders) if o == order]
+        group = np.array([pt for pt, o in zip(points, orders) if o == order], dtype=np.int64)
         table = _taylor(group, degree, order, p)  # degree + 1 x group x nvars x order
-        charts = np.array([pt.index(1) for pt in group])[:, None, None]
-        # group x multi-index x nvars
+        # group x multi-index x nvars, zero in each point's chart: its first coordinate one
+        charts = (group == 1).argmax(axis=1)[:, None, None]
         multi = np.array(monomial_exponents(order - 1, nvars)) * (np.arange(nvars) != charts)
         g = np.arange(len(group))[:, None, None]
         # table entries lie below p, so the first gather needs no reduction
-        rows = table[monos[:, 0], g, 0, multi[..., :1]]
+        rows = table[exponents[:, 0], g, 0, multi[..., :1]]
         for v in range(1, nvars):
-            rows = rows * table[monos[:, v], g, v, multi[..., v:v + 1]] % p
-        groups.append(rows.reshape(-1, len(monos)))
+            rows = rows * table[exponents[:, v], g, v, multi[..., v:v + 1]] % p
+        groups.append(rows.reshape(-1, len(exponents)))
     return np.concatenate(groups)
 
 
@@ -221,8 +224,8 @@ def vanishing_basis(degree: int, conditions, space: str,
         raise TooLarge(
             f"degree {degree} on {space} has {count} monomials, above the cap {MAX_MONOMIALS}"
         )
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    exponents = np.array(monomial_exponents(degree, nvars), dtype=np.int64)  # refuses d < 0
+    exponents.flags.writeable = False
     points = [_point_on(space, c.point, p) for c in conditions]
     orders = [min(c.order, degree + 1) for c in conditions]
     # order o gives one functional per multi-index of total order below o
@@ -232,9 +235,9 @@ def vanishing_basis(degree: int, conditions, space: str,
             f"{functionals} condition functionals over {count} monomials exceed"
             f" the cap of {MAX_FUNCTIONAL_CELLS} functionals x monomials**2"
         )
-    rows = _condition_rows(degree, nvars, points, orders, p)
+    rows = _condition_rows(exponents, points, orders, p)
     basis = gf.kernel_basis(FMatrix(p, rows))
-    return SectionBasis(space=space, degree=degree, p=p, basis=basis)
+    return SectionBasis(space=space, degree=degree, p=p, basis=basis, exponents=exponents)
 
 
 def _evaluate(basis: SectionBasis, points) -> np.ndarray:
@@ -248,7 +251,7 @@ def _evaluate(basis: SectionBasis, points) -> np.ndarray:
     p, coords = basis.p, np.array(points, dtype=np.int64)
     powers = _taylor(coords, basis.degree, 1, p)[..., 0]
     table = np.ones((basis.basis.cols, len(points)), dtype=np.int64)
-    for v, exponents in enumerate(np.array(basis.monomials).T):
+    for v, exponents in enumerate(basis.exponents.T):
         table = table * powers[exponents, :, v] % p  # monomials x points
     return (basis.basis.array @ table) % p
 

@@ -100,7 +100,8 @@ def _degrees(ns) -> list[int]:
     return degrees
 
 
-def _point(text: str, field_name: str, space: str, arity: int, p: int) -> tuple[int, ...]:
+def _point(text: str, field_name: str, space: str, p: int) -> tuple[int, ...]:
+    arity = hierdepth.agcode.SPACES[space]
     try:
         coords = tuple(int(t) for t in text.strip().split(":"))
     except ValueError:
@@ -299,8 +300,8 @@ def parse_code_config(path: str):
     p = _int(values["p"], "p", f"expected an integer, got {values['p']!r}")
     space = values.get("space", "P2").upper()
     if space not in agcode.SPACES:
-        raise CliInputError("space", f"expected P1 or P2, got {values.get('space')!r}")
-    arity = agcode.SPACES[space]
+        expected = " or ".join(agcode.SPACES)
+        raise CliInputError("space", f"expected {expected}, got {values.get('space')!r}")
     if not values["summand"]:
         raise CliInputError("summand", "need at least one summand line")
     summands = []
@@ -314,7 +315,7 @@ def parse_code_config(path: str):
         if tail:
             for item in tail.split(","):
                 pt_text, _, order_text = item.strip().partition("@")
-                pt = _point(pt_text, "summand", space, arity, p)
+                pt = _point(pt_text, "summand", space, p)
                 order = _int(order_text or 1, "summand", f"bad order {order_text!r}")
                 if order < 1:
                     raise CliInputError("summand", f"order must be at least 1, got {order}")
@@ -325,15 +326,15 @@ def parse_code_config(path: str):
     if values["points"].strip().lower() == "all-rational":
         pts = agcode.all_rational_points(space, p)
         excluded = {
-            agcode.normalize_point(_point(t, "exclude", space, arity, p), p)
+            agcode.normalize_point(_point(t, "exclude", space, p), p)
             for t in values["exclude"]
         }
         points = [pt for pt in pts if pt not in excluded]
     else:
         if values["exclude"]:
             raise CliInputError("exclude", "only valid with points = all-rational")
-        points = [_point(t, "points", space, arity, p) for t in values["points"].split(",")]
-    exceptional = [_point(t, "exceptional", space, arity, p) for t in values["exceptional"]]
+        points = [_point(t, "points", space, p) for t in values["points"].split(",")]
+    exceptional = [_point(t, "exceptional", space, p) for t in values["exceptional"]]
     if not points and not exceptional:
         raise CliInputError("exclude", "removes every point and no exceptional point is given")
     text = values.get("budget", agcode.DEFAULT_BUDGET)

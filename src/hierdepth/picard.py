@@ -98,11 +98,6 @@ class Lattice:
     def zero(self) -> "DivisorClass":
         return DivisorClass(self, (0,) * self.rank)
 
-    def generator(self, i: int) -> "DivisorClass":
-        coeffs = [0] * self.rank
-        coeffs[i] = 1
-        return DivisorClass(self, tuple(coeffs))
-
     def __repr__(self) -> str:
         if self.kind is LatticeKind.BLOWUP_P2:
             return f"Lattice(blowup_p2, m={self.blowups})"

@@ -1,10 +1,14 @@
 """Evaluation codes: section spaces, exact distances, zero-block contraction."""
 
+import ast
+import dataclasses
 import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hierdepth import agcode, gf
+from hierdepth import agcode, cli, gf
 from hierdepth.agcode import (
     INFEASIBLE,
     LinearCode,
@@ -177,6 +181,111 @@ def test_rational_point_listing_is_capped(space, p, count):
         assert len(all_rational_points(space, p)) == count
 
 
+def explicit_monomials(degree, nvars):
+    """The per-space formulas for the line and the plane, written out."""
+    if nvars == 2:
+        return tuple((a, degree - a) for a in range(degree, -1, -1))
+    return tuple((a, b, degree - a - b)
+                 for a in range(degree, -1, -1) for b in range(degree - a, -1, -1))
+
+
+def explicit_points(space, p):
+    """The per-space point lists for the line and the plane, written out."""
+    if space == "P1":
+        return [(1, t) for t in range(p)] + [(0, 1)]
+    return ([(1, b, c) for b in range(p) for c in range(p)]
+            + [(0, 1, c) for c in range(p)] + [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_monomial_exponents_match_the_explicit_formulas(nvars):
+    for degree in range(41):
+        assert monomial_exponents(degree, nvars) == explicit_monomials(degree, nvars)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_monomial_exponents_in_any_number_of_variables(nvars):
+    for degree in range(9):
+        monos = monomial_exponents(degree, nvars)
+        assert len(monos) == math.comb(degree + nvars - 1, nvars - 1)
+        assert list(monos) == sorted(set(monos), reverse=True)
+        assert all(len(m) == nvars and sum(m) == degree and min(m) >= 0 for m in monos)
+
+
+@pytest.mark.parametrize("degree, nvars", [(-1, 2), (-5, 3), (3, 0), (0, -1)])
+def test_monomial_exponents_refuse_a_negative_degree_or_no_variable(degree, nvars):
+    with pytest.raises(ValueError):
+        monomial_exponents(degree, nvars)
+
+
+@pytest.mark.parametrize("space", ["P1", "P2"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_rational_points_match_the_explicit_lists(space, p):
+    assert all_rational_points(space, p) == explicit_points(space, p)
+
+
+def _compared_constants(node):
+    """Constants a comparison tests against directly, tuples and sets unpacked."""
+    for side in [node.left, *node.comparators]:
+        items = side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side]
+        yield from (n.value for n in items if isinstance(n, ast.Constant))
+
+
+def test_spaces_are_read_from_the_table_only():
+    # agcode.SPACES, a space's coordinate count, is the one per-space fact:
+    # no function in agcode or cli tests a section space by name or a count
+    # of 2 or 3 coordinates. depth's lowercase surface names ("p2") name
+    # Picard lattices, not section spaces; hecke-verify's two points and two
+    # covectors are the only comparisons with 2 or 3 left.
+    by_name, by_count = set(), set()
+    for module in (agcode, cli):
+        path = Path(module.__file__)
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare):
+                    continue
+                values = set(_compared_constants(node))
+                if values & {"P1", "P2"}:
+                    by_name.add(f"{path.stem}.{fn.name}")
+                if any(type(v) is int and v in (2, 3) for v in values):
+                    by_count.add(f"{path.stem}.{fn.name}")
+    assert by_name == set()
+    assert by_count == {"cli._cmd_hecke_verify"}
+
+
+@pytest.mark.parametrize("space, degree", [("P1", 0), ("P1", 7), ("P2", 0), ("P2", 5)])
+def test_a_basis_keeps_its_exponents_read_only(space, degree):
+    nvars = agcode.SPACES[space]
+    b = vanishing_basis(degree, [VanishingCondition((1,) * nvars)], space, 7)
+    assert b.exponents.tolist() == [list(m) for m in monomial_exponents(degree, nvars)]
+    assert b.exponents.shape == (b.basis.cols, nvars)
+    with pytest.raises(ValueError):
+        b.exponents[0, 0] = 1
+    # derived data: equality and repr leave it out
+    assert "exponents" not in repr(b)
+    assert dataclasses.replace(b, exponents=b.exponents[:0]) == b
+
+
+def test_each_summand_builds_its_exponent_array_once():
+    calls = Counter()
+    real = agcode.monomial_exponents
+
+    def counted(degree, nvars):
+        calls[degree] += 1
+        return real(degree, nvars)
+
+    # orders 1 and 2 read multi-indices at degrees 0 and 1, below the summands'
+    conds = [VanishingCondition((1, 2, 3), 2), VanishingCondition((0, 1, 4))]
+    with patch.object(agcode, "monomial_exponents", counted):
+        bases = [vanishing_basis(d, conds, "P2", 7) for d in (4, 5)]
+        assert calls[4] == calls[5] == 1
+        built = sum(calls.values())
+        build_code(bases, all_rational_points("P2", 7), 7)
+    assert sum(calls.values()) == built
+
+
 @pytest.mark.parametrize("order, refused", [(256, False), (257, True)])
 def test_condition_functionals_are_capped(order, refused, monkeypatch):
     # P1 at degree 511 has 512 monomials; order o gives o functionals. The
@@ -243,7 +352,8 @@ def test_condition_rows_match_the_per_entry_formula(p, space, data, rnd):
     # one row per multi-index, in monomial_exponents(order - 1) order
     keys = [m[:chart] + m[chart + 1:] for m in monomial_exponents(order - 1, nvars)]
     assert sorted(keys) == sorted(want)
-    assert agcode._condition_rows(degree, nvars, [pt], [order], p).tolist() == [
+    exponents = np.array(monomial_exponents(degree, nvars))
+    assert agcode._condition_rows(exponents, [pt], [order], p).tolist() == [
         want[k] for k in keys
     ]
 
@@ -277,7 +387,8 @@ def test_condition_rows_come_grouped_by_order(p, space, data, rnd):
     per_point = [reference_point_rows(degree, nvars, pt, o, p) for pt, o in zip(points, orders)]
     grouped = [row for order in sorted(set(orders))
                for rows, o in zip(per_point, orders) if o == order for row in rows]
-    assert agcode._condition_rows(degree, nvars, points, orders, p).tolist() == grouped
+    exponents = np.array(monomial_exponents(degree, nvars))
+    assert agcode._condition_rows(exponents, points, orders, p).tolist() == grouped
     # only the span is used: the basis is the kernel of the per-point stack
     stack = FMatrix(p, [row for rows in per_point for row in rows])
     conditions = [VanishingCondition(pt, o) for pt, o in zip(points, orders)]
@@ -319,7 +430,7 @@ class TestVanishingSpaces:
             b = vanishing_basis(3, [VanishingCondition(pt, order=order)], "P2", p)
             assert b.dim == 10 - order * (order + 1) // 2
             for row in b.basis.tolist():
-                low = low_order_coeffs(row, b.monomials, pt, p, order)
+                low = low_order_coeffs(row, b.exponents.tolist(), pt, p, order)
                 assert all(v == 0 for v in low.values())
 
     @given(
@@ -357,7 +468,7 @@ class TestVanishingSpaces:
         for row, got in zip(b.basis.tolist(), vals):
             direct = sum(
                 c * pow(1, e0, 5) * pow(3, e1, 5)
-                for c, (e0, e1) in zip(row, b.monomials)
+                for c, (e0, e1) in zip(row, b.exponents.tolist())
             ) % 5
             assert got % 5 == direct
         # at infinity only the top power of the second variable survives
@@ -412,7 +523,7 @@ class TestBuildCode:
             forms = b.basis.tolist()
             block = generator[row:row + b.dim]
             for form, got in zip(forms, block):
-                want = [python_value(form, b.monomials, pt, p) for pt in code.points]
+                want = [python_value(form, b.exponents.tolist(), pt, p) for pt in code.points]
                 assert got[i::r] == want
             for j, pt in enumerate(code.points):
                 scale = rnd.randrange(1, p)

@@ -121,8 +121,8 @@ def test_pullback_is_an_isometry():
 
 def test_pullback_orthogonal_to_exceptional():
     up = pullback(P2.divisor(7), 2)
-    for j in (1, 2):
-        assert intersect(up, Y2.generator(j)) == 0
+    for exceptional in (Y2.divisor(0, 1, 0), Y2.divisor(0, 0, 1)):
+        assert intersect(up, exceptional) == 0
 
 
 def test_split_requires_blowup_lattice():
