@@ -37,7 +37,6 @@ from .picard import (
     NO_DECOMPOSITION,
     DivisorClass,
     Lattice,
-    LatticeKind,
     blowup_split,
     decompose_max,
     intersect,

@@ -50,7 +50,7 @@ import hierdepth
 from . import depth
 from .bundle import SplitBundle, parse_bundle
 from .errors import INFEASIBLE, HierdepthError, NegativeM
-from .picard import Lattice, parse_class
+from .picard import SURFACES, Lattice, parse_class
 
 DEFAULT_SEED = 0
 
@@ -122,20 +122,21 @@ def _depth_value(v):
 
 def _cmd_depth(ns):
     if ns.curve:
-        if ns.bundle or ns.surface:
+        if ns.surface:
             raise CliInputError("curve", "choose either --curve or --surface")
+        if ns.bundle is not None:
+            raise CliInputError("bundle", "--bundle is read only with --surface")
         degrees = _degrees(ns)
         d0 = _int(ns.lambda0, "lambda0", "expected an integer degree")
         lower = upper = _depth_value(depth.curve_split_depth(degrees, d0))
-        name, lattice = "curve", Lattice.curve()
+        lattice = Lattice.curve()
         det, lam = lattice.divisor(sum(degrees)), lattice.divisor(d0)
     else:
         if ns.degrees is not None:
             raise CliInputError("degrees", "--degrees is read only with --curve")
-        name = ns.surface
-        if name not in ("p2", "p1xp1"):
-            raise CliInputError("surface", "expected p2 or p1xp1 (or use --curve)")
-        lattice = Lattice.p2() if name == "p2" else Lattice.p1xp1()
+        if ns.surface is None:
+            raise CliInputError("surface", f"expected {' or '.join(SURFACES)} (or use --curve)")
+        lattice = Lattice(ns.surface)
         try:
             b = parse_bundle(ns.bundle or "", lattice)
         except ValueError as e:
@@ -151,7 +152,7 @@ def _cmd_depth(ns):
     else:
         bound = upper
     return {
-        "lattice": name,
+        "lattice": lattice.name,
         "det": det.notation(),
         "lambda0": lam.notation(),
         "bound": bound,
@@ -485,7 +486,7 @@ _COMMANDS = {c.name: c for c in (
     _Command(
         "depth", _cmd_depth, "Depth bounds for a split bundle.",
         _Option("--curve", "curve", bool, default=False),
-        _Option("--surface", "surface", ("p2", "p1xp1")),
+        _Option("--surface", "surface", SURFACES),
         _Option("--degrees", "degrees"),
         _Option("--bundle", "bundle"),
         _Option("--lambda0", "lambda0", required=True),

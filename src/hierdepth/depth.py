@@ -21,7 +21,7 @@ from .errors import (
     NotEffective,
     ShapeMismatch,
 )
-from .picard import DivisorClass, LatticeKind, decompose_max, is_effective
+from .picard import SURFACES, DivisorClass, decompose_max, is_effective
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ def _distinct(increments) -> Counter:
     """Each distinct increment with its count, hashing each run once.
 
     A chain repeats one shared DivisorClass, and hashing one walks its
-    coefficients, its Lattice and the lattice kind, so a run of the
-    identical object is counted with `is` and hashed once.
+    coefficients and its Lattice, so a run of the identical object is
+    counted with `is` and hashed once.
     """
     counts = Counter()
     run, k = None, 0
@@ -125,8 +125,8 @@ def surface_split_depth(b: SplitBundle, lambda0: DivisorClass):
     NO_FILTRATION.
     """
     lat = b.lattice
-    if lat.kind not in (LatticeKind.P2, LatticeKind.P1XP1):
-        raise LatticeMismatch("surface_split_depth expects P2 or P1xP1")
+    if lat.name not in SURFACES:
+        raise LatticeMismatch(f"surface_split_depth expects {' or '.join(SURFACES)}")
     if lambda0.lattice != lat:
         raise LatticeMismatch("lambda0 is in a different lattice")
     delta = b.det() - lambda0

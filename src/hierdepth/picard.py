@@ -1,11 +1,11 @@
 """Divisor-class lattices for the model geometries.
 
-Four lattice kinds are supported: a smooth projective curve (rank 1,
-generated by the point class), the projective plane (rank 1, generated by
-the hyperplane class), a blowup of the plane at m points (rank 1 + m,
-generated by the pulled-back hyperplane class and the exceptional classes),
-and a smooth quadric surface (rank 2, generated by the two ruling fiber
-classes).
+LATTICES describes every lattice. Its row, keyed by the lattice's name
+(curve, p2, blowup_p2, p1xp1), gives the generator names, the intersection
+form on them and which of them move in pairwise disjoint curves. The plane
+blown up at m points is P2's row and E1..Em under one rule: E_j.E_j = -1,
+E_j is orthogonal to every other generator and moves in disjoint curves.
+SURFACES are the rows `depth --surface` takes.
 
 Effectivity is modeled by the simplicial cone on the listed generators:
 a class is effective exactly when all its coordinates are nonnegative.
@@ -18,26 +18,49 @@ directly.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
+from functools import cache
 
 from .errors import NO_DECOMPOSITION, LatticeMismatch
 
+# form pairs two coefficient tuples on names; disjoint[i] is False where
+# two members of generator i always meet, as two lines do. An exceptional
+# row takes E1..Em of m >= 1 blowup centers after names; `depth --surface`
+# takes the surface rows.
+_Row = namedtuple("_Row", "names form disjoint exceptional surface", defaults=(False, False))
 
-class LatticeKind(Enum):
-    CURVE = "curve"
-    P2 = "p2"
-    BLOWUP_P2 = "blowup_p2"
-    P1XP1 = "p1xp1"
+_PLANE = _Row(("H",), lambda a, b: a[0] * b[0], (False,))
+
+LATTICES = {
+    "curve": _Row(("P",), lambda a, b: a[0] * b[0], (True,)),
+    "p2": _PLANE._replace(surface=True),
+    "blowup_p2": _PLANE._replace(exceptional=True),
+    "p1xp1": _Row(("F1", "F2"), lambda a, b: a[0] * b[1] + a[1] * b[0], (True, True),
+                  surface=True),
+}
+
+SURFACES = tuple(name for name, row in LATTICES.items() if row.surface)
+
+
+# worked out once per lattice, so building one only checks its pair
+@cache
+def _generator_names(name: str, blowups: int) -> tuple[str, ...]:
+    return LATTICES[name].names + tuple(f"E{j}" for j in range(1, blowups + 1))
 
 
 @dataclass(frozen=True)
 class Lattice:
-    kind: LatticeKind
+    """LATTICES[name] blown up at `blowups` centers; the pair is its identity."""
+
+    name: str
     blowups: int = 0
 
     def __post_init__(self):
-        if self.kind is LatticeKind.BLOWUP_P2:
+        row = LATTICES.get(self.name)
+        if row is None:
+            raise ValueError(f"unknown lattice {self.name!r}")
+        if row.exceptional:
             if self.blowups < 1:
                 raise ValueError("a blowup lattice needs at least one center")
         elif self.blowups != 0:
@@ -45,52 +68,34 @@ class Lattice:
 
     @classmethod
     def curve(cls) -> "Lattice":
-        return cls(LatticeKind.CURVE)
+        return cls("curve")
 
     @classmethod
     def p2(cls) -> "Lattice":
-        return cls(LatticeKind.P2)
+        return cls("p2")
 
     @classmethod
     def blowup_p2(cls, m: int) -> "Lattice":
-        return cls(LatticeKind.BLOWUP_P2, m)
+        return cls("blowup_p2", m)
 
     @classmethod
     def p1xp1(cls) -> "Lattice":
-        return cls(LatticeKind.P1XP1)
+        return cls("p1xp1")
 
     @property
     def rank(self) -> int:
-        return len(self.generator_names)
+        return len(_generator_names(self.name, self.blowups))
 
     @property
     def generator_names(self) -> tuple[str, ...]:
-        if self.kind is LatticeKind.CURVE:
-            return ("P",)
-        if self.kind is LatticeKind.P2:
-            return ("H",)
-        if self.kind is LatticeKind.P1XP1:
-            return ("F1", "F2")
-        return ("H",) + tuple(f"E{j}" for j in range(1, self.blowups + 1))
+        return _generator_names(self.name, self.blowups)
 
     def disjoint_representatives(self, i: int) -> bool:
-        """Whether generator i moves in a family of pairwise disjoint curves.
-
-        Point classes on a curve and the ruling fibers on the quadric do;
-        so do the exceptional classes, which support repeated transform
-        steps. The hyperplane class does not: two of its members always
-        meet.
-        """
-        names = self.generator_names
-        if i < 0 or i >= len(names):
+        """Whether generator i moves in a family of pairwise disjoint curves."""
+        if i < 0 or i >= self.rank:
             raise IndexError("generator index out of range")
-        if self.kind is LatticeKind.CURVE:
-            return True
-        if self.kind is LatticeKind.P1XP1:
-            return True
-        if self.kind is LatticeKind.P2:
-            return False
-        return i >= 1  # blowup: H does not, every E_j does
+        disjoint = LATTICES[self.name].disjoint
+        return i >= len(disjoint) or disjoint[i]
 
     def divisor(self, *coeffs: int) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coeffs))
@@ -99,9 +104,9 @@ class Lattice:
         return DivisorClass(self, (0,) * self.rank)
 
     def __repr__(self) -> str:
-        if self.kind is LatticeKind.BLOWUP_P2:
-            return f"Lattice(blowup_p2, m={self.blowups})"
-        return f"Lattice({self.kind.value})"
+        if self.blowups:
+            return f"Lattice({self.name}, m={self.blowups})"
+        return f"Lattice({self.name})"
 
 
 @dataclass(frozen=True)
@@ -166,22 +171,17 @@ class DivisorClass:
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    """Intersection pairing in the generator basis.
-
-    On the curve the pairing of aP with bP is a*b, so pairing against the
-    point class returns the degree. On the blowup, H.H = 1, H.E_j = 0 and
-    E_i.E_j = -delta_ij. On the quadric the two rulings meet once.
+    """Intersection pairing: the row's form, then E_i.E_j = -delta_ij on a
+    blowup. Against the curve's point class it returns the degree.
     """
-    if a.lattice != b.lattice:
+    lat = a.lattice
+    if lat != b.lattice:
         raise LatticeMismatch("intersection needs both classes in one lattice")
-    kind = a.lattice.kind
-    if kind in (LatticeKind.CURVE, LatticeKind.P2):
-        return a.coeffs[0] * b.coeffs[0]
-    if kind is LatticeKind.P1XP1:
-        return a.coeffs[0] * b.coeffs[1] + a.coeffs[1] * b.coeffs[0]
-    total = a.coeffs[0] * b.coeffs[0]
-    for x, y in zip(a.coeffs[1:], b.coeffs[1:]):
-        total -= x * y
+    row = LATTICES[lat.name]
+    x, y = a.coeffs, b.coeffs
+    total = row.form(x, y)
+    for j in range(len(row.names), len(x)):
+        total -= x[j] * y[j]
     return total
 
 
@@ -203,15 +203,14 @@ def decompose_max(c: DivisorClass):
 
 def blowup_split(c: DivisorClass) -> tuple[DivisorClass, tuple[int, ...]]:
     """Split a blowup class into its plane part and exceptional multiples."""
-    if c.lattice.kind is not LatticeKind.BLOWUP_P2:
+    if not c.lattice.blowups:
         raise LatticeMismatch("blowup_split needs a blowup lattice class")
-    plane = Lattice.p2().divisor(c.coeffs[0])
-    return plane, tuple(c.coeffs[1:])
+    return Lattice.p2().divisor(c.coeffs[0]), c.coeffs[1:]
 
 
 def pullback(c: DivisorClass, m: int) -> DivisorClass:
     """Pull a plane class back to the blowup at m points."""
-    if c.lattice.kind is not LatticeKind.P2:
+    if c.lattice != Lattice.p2():
         raise LatticeMismatch("pullback starts from a plane class")
     return Lattice.blowup_p2(m).divisor(c.coeffs[0], *([0] * m))
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from hierdepth import cli
 from hierdepth.cli import main
+from hierdepth.picard import LATTICES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = json.loads(
@@ -130,6 +131,15 @@ class TestDepthCommand:
         )
         assert rep["status"] == "no-filtration"
         assert rep["lower"] is rep["upper"] is None
+
+    def test_schema_and_help_list_the_surfaces_depth_takes(self):
+        # a lattice row that depth --surface takes reaches the report
+        # schema's lattice enum and the help line, or this fails
+        argv = ["depth", "--bundle", "O(0)", "--lambda0", "0", "--surface"]
+        taken = [name for name in LATTICES if run(argv + [name])[0] == 0]
+        assert SCHEMAS["depth"]["properties"]["lattice"]["enum"] == ["curve", *taken]
+        usage = run(["depth", "--help"])[1].splitlines()[0]
+        assert f"[--surface {{{','.join(taken)}}}]" in usage
 
 
 class TestMmpDepthCommand:
@@ -505,9 +515,11 @@ class TestMalformedInput:
             (["filtration", "--field", "5", "--degrees=", "--lambda0", "0"], "degrees"),
             ([], "subcommand"),
             (["--seed", "3"], "subcommand"),
-            # --degrees is read only with --curve, as --bundle only without it
+            # --degrees is read only with --curve, as --bundle only with --surface
             (["depth", "--surface", "p2", "--bundle", "O(H)", "--degrees", "1,2",
               "--lambda0", "0"], "degrees"),
+            (["depth", "--curve", "--degrees", "1", "--bundle", "O(H)", "--lambda0", "0"],
+             "bundle"),
             # refusals no other row reaches: unbalanced parentheses, a coefficient
             # that is not an integer, --curve with --surface, a short covector
             (["depth", "--surface", "p2", "--bundle", "O((H)", "--lambda0", "0"], "bundle"),
@@ -948,7 +960,7 @@ PACKAGE_EXPORTS = {
         "VacuousTransform", "WidthTooLarge",
     ),
     "picard": (
-        "DivisorClass", "Lattice", "LatticeKind", "blowup_split", "decompose_max",
+        "DivisorClass", "Lattice", "blowup_split", "decompose_max",
         "intersect", "is_effective", "parse_class", "pullback",
     ),
     "bundle": ("SplitBundle", "parse_bundle"),

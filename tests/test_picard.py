@@ -1,11 +1,17 @@
 """Lattice arithmetic: pairings, effectivity cone, blowup bookkeeping."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_agcode import _compared_constants
 
+from hierdepth import cli, depth, picard
 from hierdepth.errors import LatticeMismatch
 from hierdepth.picard import (
+    LATTICES,
     NO_DECOMPOSITION,
     DivisorClass,
     Lattice,
@@ -185,3 +191,74 @@ def test_divisor_validation():
         DivisorClass(Y2, (1, 2))  # wrong coefficient count
     with pytest.raises(ValueError):
         Lattice.blowup_p2(0)
+
+
+# The per-kind formulas the table replaced, written out as the oracle.
+def explicit_names(name, m):
+    if name == "curve":
+        return ("P",)
+    if name == "p2":
+        return ("H",)
+    if name == "p1xp1":
+        return ("F1", "F2")
+    return ("H",) + tuple(f"E{j}" for j in range(1, m + 1))
+
+
+def explicit_pairing(name, a, b):
+    if name in ("curve", "p2"):
+        return a[0] * b[0]
+    if name == "p1xp1":
+        return a[0] * b[1] + a[1] * b[0]
+    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+
+def explicit_disjoint(name, i):
+    if name in ("curve", "p1xp1"):
+        return True
+    if name == "p2":
+        return False
+    return i >= 1
+
+
+def explicit_repr(name, m):
+    return f"Lattice(blowup_p2, m={m})" if name == "blowup_p2" else f"Lattice({name})"
+
+
+@pytest.mark.parametrize(
+    "name, m", [("curve", 0), ("p2", 0), ("p1xp1", 0), *(("blowup_p2", m) for m in range(1, 6))]
+)
+@given(data=st.data())
+def test_table_agrees_with_the_explicit_formulas(name, m, data):
+    lat = Lattice(name, m)
+    names = explicit_names(name, m)
+    assert lat.generator_names == names
+    assert lat.rank == len(names)
+    assert repr(lat) == explicit_repr(name, m)
+    assert [lat.disjoint_representatives(i) for i in range(lat.rank)] == [
+        explicit_disjoint(name, i) for i in range(len(names))
+    ]
+    a, b = (data.draw(st.lists(coeff, min_size=len(names), max_size=len(names))) for _ in "ab")
+    assert intersect(lat.divisor(*a), lat.divisor(*b)) == explicit_pairing(name, a, b)
+
+
+def test_lattices_are_read_from_the_table_only():
+    # picard.LATTICES, keyed by a lattice's name, holds every per-lattice
+    # fact: no function in picard, depth or cli compares with a lattice's
+    # name or reads a `.kind`. cli's options have a kind of their own (the
+    # value an option takes), so `.kind` is looked for in picard and depth.
+    lattice_names = {"curve", "p2", "p1xp1", "blowup_p2"}
+    branches = set()
+    for module in (picard, depth, cli):
+        path = Path(module.__file__)
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                compared = isinstance(node, ast.Compare) and lattice_names & set(
+                    _compared_constants(node)
+                )
+                kind = module is not cli and getattr(node, "attr", None) == "kind"
+                if compared or kind:
+                    branches.add(f"{path.stem}.{fn.name}")
+    assert branches == set()
+    assert set(LATTICES) == lattice_names
