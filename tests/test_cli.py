@@ -518,8 +518,6 @@ class TestMalformedInput:
             # --degrees is read only with --curve, as --bundle only with --surface
             (["depth", "--surface", "p2", "--bundle", "O(H)", "--degrees", "1,2",
               "--lambda0", "0"], "degrees"),
-            (["depth", "--curve", "--degrees", "1", "--bundle", "O(H)", "--lambda0", "0"],
-             "bundle"),
             # refusals no other row reaches: unbalanced parentheses, a coefficient
             # that is not an integer, --curve with --surface, a short covector
             (["depth", "--surface", "p2", "--bundle", "O((H)", "--lambda0", "0"], "bundle"),
@@ -531,6 +529,9 @@ class TestMalformedInput:
                  "--points", "0,1", "--covectors", "1;1,0"],
                 "covectors",
             ),
+            # --bundle with --curve, the other half of the rule above
+            (["depth", "--curve", "--degrees", "1", "--bundle", "O(H)", "--lambda0", "0"],
+             "bundle"),
         ],
     )
     def test_exit_one_and_field_named(self, argv, field):
