@@ -214,12 +214,11 @@ def _cmd_filtration(ns):
     return base
 
 
-def _hecke_point(text: str, field_name: str):
+def _hecke_coord(text: str, field_name: str):
     t = text.strip().lower()
     if t in ("inf", "infinity", "oo"):
-        return hierdepth.curve.INFINITY
-    message = f"expected an integer or 'inf', got {text!r}"
-    return hierdepth.curve.RationalPoint.affine(_int(t, field_name, message))
+        return None
+    return _int(t, field_name, f"expected an integer or 'inf', got {text!r}")
 
 
 def _cmd_hecke_verify(ns):
@@ -229,8 +228,10 @@ def _cmd_hecke_verify(ns):
     raw_points = (ns.points or "").split(",")
     if len(raw_points) != 2:
         raise CliInputError("points", "expected exactly two points, e.g. 0,1")
-    pts = [_hecke_point(t, "points") for t in raw_points]
+    coords = [_hecke_coord(t, "points") for t in raw_points]
     model = hecke.full_sections(degrees, p)
+    # full_sections has checked p, so each point is named by its residue
+    pts = [hierdepth.curve.RationalPoint(None if q is None else q % p) for q in coords]
     if ns.covectors:
         parts = ns.covectors.split(";")
         if len(parts) != 2:

@@ -72,9 +72,9 @@ def _distinct(increments) -> Counter:
 def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     """Check f is a valid determinant chain for the target bundle.
 
-    True when every increment is effective and nonzero and the chain
-    telescopes from lambda0 to det(target). Classes from a different
-    lattice raise LatticeMismatch.
+    True when the chain has the target's rank, every increment is
+    effective and nonzero, and the chain telescopes from lambda0 to
+    det(target). Classes from a different lattice raise LatticeMismatch.
     """
     lat = target.lattice
     if f.lambda0.lattice != lat:
@@ -84,6 +84,8 @@ def verify_filtration(f: HierFiltration, target: SplitBundle) -> bool:
     for d in distinct:
         if d.lattice != lat:
             raise LatticeMismatch("increment in a different lattice")
+    if f.bundle_rank != target.rank:
+        return False
     for d in distinct:
         if d.is_zero or not is_effective(d):
             return False

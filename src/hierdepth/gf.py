@@ -74,7 +74,7 @@ class FMatrix:
         return self._a.shape
 
     def tolist(self):
-        return [[int(v) for v in row] for row in self._a]
+        return self._a.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FMatrix):

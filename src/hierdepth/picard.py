@@ -98,7 +98,7 @@ class Lattice:
         return i >= len(disjoint) or disjoint[i]
 
     def divisor(self, *coeffs: int) -> "DivisorClass":
-        return DivisorClass(self, tuple(int(c) for c in coeffs))
+        return DivisorClass(self, coeffs)
 
     def zero(self) -> "DivisorClass":
         return DivisorClass(self, (0,) * self.rank)

@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -282,6 +283,14 @@ class TestHeckeVerifyCommand:
                 "error: OverlappingSupport: transform points coincide;"
                 " routes are compared at distinct points only\n"
             ))
+
+    def test_points_are_named_by_their_residue(self):
+        # -3 and 8 are the points 2 and 3 of F_5, and 2 is the point 0 of F_2
+        rep = report_of(["hecke-verify", "--field", "5", "--degrees", "1,1", "--points=-3,8"])
+        assert rep["points"] == ["2", "3"]
+        assert run(["hecke-verify", "--field", "2", "--degrees=-1", "--points", "2,inf"]) == (
+            2, "", "error: VacuousTransform: no usable covector at point 0\n"
+        )
 
     def test_models_with_empty_blocks(self):
         # an all-empty model has no section and no power to take: exit 2,
@@ -951,58 +960,13 @@ def test_depth_subcommands_start_without_numpy():
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
-# every name the package exports, under the module that defines it
-PACKAGE_EXPORTS = {
-    "errors": (
-        "DuplicatePoint", "EmptyCode", "EmptyMessageSpace",
-        "HierdepthError", "INFEASIBLE", "LatticeMismatch", "NO_DECOMPOSITION",
-        "NO_FILTRATION", "NegativeM", "NotEffective", "NotEnoughPoints", "NotPrime",
-        "OverlappingSupport", "Sentinel", "ShapeMismatch", "TooLarge",
-        "VacuousTransform", "WidthTooLarge",
-    ),
-    "picard": (
-        "DivisorClass", "Lattice", "blowup_split", "decompose_max",
-        "intersect", "is_effective", "parse_class", "pullback",
-    ),
-    "bundle": ("SplitBundle", "parse_bundle"),
-    "depth": (
-        "HierFiltration", "curve_split_depth", "mmp_exact_depth", "rank_one_bound",
-        "surface_split_depth", "verify_filtration",
-    ),
-    "field": ("Field",),
-    "gf": ("FMatrix", "dot_mod", "kernel_basis", "rank", "rref"),
-    "curve": (
-        "INFINITY", "RationalPoint", "build_curve_filtration", "enumerate_points",
-        "point_at",
-    ),
-    "hecke": (
-        "PointFunctional", "SubsheafModel", "apply_transform", "commute_check",
-        "first_usable_covector", "full_sections",
-    ),
-    "agcode": (
-        "DEFAULT_BUDGET", "LinearCode", "SectionBasis", "VanishingCondition",
-        "all_rational_points", "append_zero_blocks", "build_code", "min_distance",
-        "mmp_compare", "permute_points", "vanishing_basis",
-        "zero_block_contract", "zero_blocks",
-    ),
-}
-
-
-@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
-def test_package_exports_every_earlier_name(module):
+def test_the_package_serves_its_modules_only():
     import hierdepth
 
-    defining = importlib.import_module(f"hierdepth.{module}")
-    listed = dir(hierdepth)
-    for name in (module, *PACKAGE_EXPORTS[module]):
-        ns = {}
-        exec(f"from hierdepth import {name} as got", ns)
-        want = defining if name == module else getattr(defining, name)
-        assert ns["got"] is want, name
-        assert getattr(hierdepth, name) is want, name
-        assert name in listed, name
-    with pytest.raises(AttributeError):
-        hierdepth.no_such_name
+    assert hierdepth.agcode is importlib.import_module("hierdepth.agcode")
+    for name in ("build_code", "Field", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(hierdepth, name)
 
 
 def test_cli_still_reads_its_agcode_names():
@@ -1015,48 +979,77 @@ def test_cli_still_reads_its_agcode_names():
             getattr(cli, name)
 
 
-# Exports kept without a caller: ROADMAP item 7 (depth on blown-up planes)
+# Names kept without a caller: ROADMAP item 7 (depth on blown-up planes)
 # takes its inputs from them.
-UNCALLED_EXPORTS = {"blowup_split", "pullback"}
+UNCALLED_EXPORTS = {"picard.blowup_split", "picard.pullback"}
 
-# Members kept without a caller: a chain's start is the replay oracle's
-# starting model for the closed-form picks, and ROADMAP item 8's witness
-# reads it.
-UNCALLED_MEMBERS = {"TransformChain.start"}
+# Members kept without a caller: a chain's start and final are the replay
+# oracle's models for the closed-form picks, and ROADMAP item 8's witness
+# reads them.
+UNCALLED_MEMBERS = {"TransformChain.start", "TransformChain.final"}
+
+SRC = ROOT / "src" / "hierdepth"
+MODULES = sorted(q for q in SRC.glob("*.py") if q.name != "__init__.py")
 
 
 def loaded_names():
     """Names and attribute names loaded in src/hierdepth (outside __init__),
-    scripts/, perfbench/ or the acceptance criteria; unit tests and the
-    export pin do not count."""
-    paths = [q for q in (ROOT / "src" / "hierdepth").glob("*.py") if q.name != "__init__.py"]
-    paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    scripts/, perfbench/ or the acceptance criteria, with each attribute
+    name's count of loads, and its count inside each package class body;
+    unit tests do not count."""
+    paths = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     paths.append(ROOT / "tests" / "test_acceptance.py")
-    names, attributes = set(), set()
+    names, attributes, in_class = set(), Counter(), Counter()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attributes.add(node.attr)
-    return names, attributes
+                attributes[node.attr] += 1
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                in_class.update(
+                    f"{cls.name}.{node.attr}" for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                )
+    return names, attributes, in_class
+
+
+def public_names(tree):
+    """A module's own public names: its top-level defs, classes and assigned
+    names that do not start with an underscore; imported names are not its own."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in found if not name.startswith("_")}
 
 
 def test_every_export_has_a_caller():
-    # a name counts as read where it is loaded, as a name or as an attribute
-    import hierdepth
-
-    names, attributes = loaded_names()
+    # each module's public names, checked module by module; a name counts
+    # as read where it is loaded, as a name or as an attribute
+    names, attributes, _ = loaded_names()
+    read = names | attributes.keys()
     exported = {
-        name for name in dir(hierdepth)
-        if not name.startswith("_") and not inspect.ismodule(getattr(hierdepth, name))
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in public_names(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert sorted(exported - names - attributes - UNCALLED_EXPORTS) == []
+    assert len(exported) > 80
+    uncalled = {qualified for qualified in exported if qualified.split(".")[1] not in read}
+    assert sorted(uncalled - UNCALLED_EXPORTS) == []
 
 
 def test_every_class_member_has_a_caller():
     # a public method, property or dataclass field of a class the package
-    # defines counts as read where it is loaded as an attribute
+    # defines counts as read where it is loaded as an attribute outside
+    # that class's own body
     import hierdepth
 
     members = set()
@@ -1071,6 +1064,9 @@ def test_every_class_member_has_a_caller():
                       or isinstance(value, (property, classmethod, staticmethod))]
             members |= {f"{cls.__name__}.{name}" for name in names if not name.startswith("_")}
     assert len(members) > 50
-    _, attributes = loaded_names()
-    uncalled = {member for member in members if member.split(".")[1] not in attributes}
+    _, attributes, in_class = loaded_names()
+    uncalled = {
+        member for member in members
+        if attributes[member.split(".")[1]] == in_class[member]
+    }
     assert sorted(uncalled - UNCALLED_MEMBERS) == []

@@ -190,18 +190,25 @@ class TestFiltrationRecords:
     def test_verify_rejects_zero_increment(self):
         lat = Lattice.blowup_p2(1)
         f = HierFiltration(lat.zero(), (lat.zero(),), 2)
-        target = SplitBundle((lat.divisor(0, 0),))
+        target = SplitBundle((lat.divisor(0, 0), lat.zero()))
         assert not verify_filtration(f, target)
 
     def test_verify_rejects_noneffective_increment(self):
         f = HierFiltration(P2.zero(), (P2.divisor(-1), P2.divisor(2)), 2)
-        target = SplitBundle((P2.divisor(1),))
+        target = SplitBundle((P2.divisor(1), P2.zero()))
         assert not verify_filtration(f, target)
 
     def test_verify_rejects_broken_telescope(self):
         f = HierFiltration(P2.zero(), (P2.divisor(1),), 2)
-        target = SplitBundle((P2.divisor(3),))
+        target = SplitBundle((P2.divisor(3), P2.zero()))
         assert not verify_filtration(f, target)
+
+    def test_verify_rejects_a_rank_mismatch(self):
+        # the chain telescopes to det(target), but its terms have rank 5
+        f = HierFiltration(CURVE.zero(), (CURVE.divisor(1),) * 3, 5)
+        target = SplitBundle((CURVE.divisor(2), CURVE.divisor(1)))
+        assert not verify_filtration(f, target)
+        assert verify_filtration(HierFiltration(f.lambda0, f.increments, 2), target)
 
     def test_verify_accepts_trivial_chain(self):
         target = SplitBundle((P2.divisor(2), P2.divisor(1)))
